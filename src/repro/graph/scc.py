@@ -1,10 +1,15 @@
-"""Distributed strongly connected components over edge DataFrames.
+"""Strongly connected components: Tarjan on the driver, and a
+distributed fallback over edge DataFrames.
 
-This is the vertex-level-reduction substrate (paper Section III-B). The
-paper uses Tarjan's algorithm on a single machine; Tarjan is inherently
-sequential (DFS), so the distributed equivalent here is the classic
-FW-BW-Trim / *coloring* dataflow algorithm, expressed as iterative
-DataFrame joins (the GraphX-style formulation):
+This is the vertex-level-reduction substrate (paper Section III-B).
+``tarjan_scc`` is the paper's algorithm [14]: one iterative DFS over an
+edge list held in driver memory. Compute_RTC runs it whenever ``R_G``
+fits the driver (``repro.core.rtc``).
+
+``strongly_connected_components`` is the distributed equivalent for an
+``R_G`` too large to collect: the classic FW-BW-Trim / *coloring*
+dataflow algorithm, expressed as iterative DataFrame joins (the
+GraphX-style formulation):
 
 repeat until no vertices remain:
   1. **Trim** — peel vertices with no in-edge or no out-edge inside the
@@ -17,8 +22,8 @@ repeat until no vertices remain:
      by reverse-BFS from all roots simultaneously, restricted to
      same-color edges. Assign, remove, repeat.
 
-SCC ids are the minimum vertex id in the component, matching
-``repro.pyref.tarjan_scc`` so the two are directly comparable.
+Both name an SCC by its minimum member vertex, so their assignments
+compare directly.
 """
 from __future__ import annotations
 
@@ -26,6 +31,71 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.graph.iterate import FixpointGuard, materialize, release
+
+
+def tarjan_scc(
+    edges: list[tuple[int, int]],
+) -> tuple[dict[int, int], list[list[int]]]:
+    """Tarjan's SCC algorithm (iterative) over an edge list.
+
+    Returns ``(comp_of, components)``: vertex -> SCC id (the minimum
+    member vertex), and the member lists in the order Tarjan emits
+    them. That order is reverse topological: every SCC reachable from
+    a component is emitted before it.
+    """
+    adj: dict[int, list[int]] = {}
+    for s, d in edges:
+        adj.setdefault(s, []).append(d)
+
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    on_stack: set[int] = set()
+    stack: list[int] = []
+    comp_of: dict[int, int] = {}
+    components: list[list[int]] = []
+
+    # Every vertex without an out-edge has an in-edge, so DFS from the
+    # sources reaches it.
+    for root in adj:
+        if root in index:
+            continue
+        # Iterative Tarjan with an explicit call stack.
+        work = [(root, iter(adj[root]))]
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        while work:
+            v, it = work[-1]
+            advanced = False
+            for w in it:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(adj.get(w, ()))))
+                    advanced = True
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[v])
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack.discard(w)
+                    comp.append(w)
+                    if w == v:
+                        break
+                cid = min(comp)
+                for w in comp:
+                    comp_of[w] = cid
+                components.append(comp)
+    return comp_of, components
 
 
 def _vertices_of(edges: DataFrame) -> DataFrame:

@@ -2,10 +2,10 @@
 
 Everything here is pure Python over edge lists — small, obviously
 correct, and completely independent of the Spark dataflow code it
-cross-checks: RPQ evaluation (NFA-product BFS), Tarjan SCC, and
-transitive closure. The paper's own Compute_RTC uses Tarjan [14]; our
-production path is the distributed SCC in ``repro.graph.scc``, and
-``tarjan_scc`` here is the differential oracle for it.
+cross-checks: RPQ evaluation (NFA-product BFS), transitive closure
+and condensation. Tarjan's SCC algorithm is not here: Compute_RTC runs
+it on the production path (``repro.graph.scc.tarjan_scc``), so the
+tests check it against networkx instead.
 """
 from __future__ import annotations
 
@@ -51,70 +51,6 @@ def eval_rpq_python(edges: list[Edge], regex: Regex) -> set[tuple[int, int]]:
                                 result.add((v0, w))
             frontier = nxt
     return result
-
-
-def tarjan_scc(edges: list[tuple[int, int]]) -> dict[int, int]:
-    """Tarjan's SCC algorithm (iterative). Returns vertex -> SCC id.
-
-    The SCC id is the minimum vertex id in the component, matching the
-    convention of the distributed algorithm so assignments compare
-    directly.
-    """
-    adj: dict[int, list[int]] = {}
-    vertices: set[int] = set()
-    for s, d in edges:
-        adj.setdefault(s, []).append(d)
-        vertices.add(s)
-        vertices.add(d)
-
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    counter = 0
-    comp_of: dict[int, int] = {}
-
-    for root in vertices:
-        if root in index:
-            continue
-        # Iterative Tarjan with an explicit call stack.
-        work = [(root, iter(adj.get(root, [])))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(adj.get(w, []))))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                cid = min(comp)
-                for w in comp:
-                    comp_of[w] = cid
-    return comp_of
 
 
 def transitive_closure_python(

@@ -5,8 +5,8 @@ import pandas as pd
 import pytest
 
 from repro.graph.condense import condense
-from repro.graph.scc import strongly_connected_components
-from repro.pyref import condense_python, tarjan_scc
+from repro.graph.scc import strongly_connected_components, tarjan_scc
+from repro.pyref import condense_python
 
 
 def condense_spark(spark, edges):
@@ -50,5 +50,5 @@ def test_random_vs_python(spark, seed):
     edges = sorted(
         {(rng.randrange(n), rng.randrange(n)) for _ in range(26)}
     )
-    want = condense_python(edges, tarjan_scc(edges))
+    want = condense_python(edges, tarjan_scc(edges)[0])
     assert condense_spark(spark, edges) == want

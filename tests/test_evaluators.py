@@ -74,6 +74,26 @@ def test_random_graphs(make_graph, seed, text):
         assert rows(cls(g).evaluate(text)) == want, (cls.__name__, text)
 
 
+@pytest.mark.parametrize("text", ["(zz)+", "a.(zz)*.b", "(zz)*.a"])
+def test_closure_body_with_no_edges(make_graph, text):
+    """``zz`` is not in Σ: R_G, the SCC relation and the RTC are empty,
+    with their exact schemas, and the answers still agree."""
+    edges = random_labeled_edges(
+        n_vertices=9, n_edges=20, labels="ab", seed=100
+    )
+    g = make_graph(edges)
+    want = eval_rpq_python(edges, parse(text))
+    ev = RTCSharingEvaluator(g)
+    assert rows(ev.evaluate(text)) == want
+    assert rows(FullSharingEvaluator(g).evaluate(text)) == want
+    (rtc,) = ev._rtc_cache.values()
+    assert rtc.scc.schema.simpleString() == "struct<v:bigint,s:bigint>"
+    assert (
+        rtc.rtc.schema.simpleString() == "struct<start_s:bigint,end_s:bigint>"
+    )
+    assert rtc.scc.isEmpty() and rtc.rtc.isEmpty()
+
+
 def test_oracle_full_batch_unit(paper_graph):
     got = RTCSharingEvaluator(paper_graph).evaluate("d.(b.c)+.c")
     assert_equivalent(

@@ -2,16 +2,18 @@
 
 These oracles are themselves verified against brute force (path
 enumeration / SCC definition) before the Spark code is trusted to them.
+``TestTarjan`` checks the driver-side Tarjan of ``repro.graph.scc``
+against the SCC definition the same way.
 """
 import itertools
 import random
 
 import pytest
 
+from repro.graph.scc import tarjan_scc
 from repro.pyref import (
     condense_python,
     eval_rpq_python,
-    tarjan_scc,
     transitive_closure_python,
 )
 from repro.rpq.automaton import build_nfa
@@ -68,19 +70,19 @@ def test_eval_rpq_python_vs_product_closure(seed, text):
 
 class TestTarjan:
     def test_single_cycle(self):
-        comp = tarjan_scc([(1, 2), (2, 3), (3, 1)])
+        comp, _ = tarjan_scc([(1, 2), (2, 3), (3, 1)])
         assert comp == {1: 1, 2: 1, 3: 1}
 
     def test_dag(self):
-        comp = tarjan_scc([(1, 2), (2, 3)])
+        comp, _ = tarjan_scc([(1, 2), (2, 3)])
         assert comp == {1: 1, 2: 2, 3: 3}
 
     def test_two_sccs(self):
-        comp = tarjan_scc([(1, 2), (2, 1), (2, 3), (3, 4), (4, 3)])
+        comp, _ = tarjan_scc([(1, 2), (2, 1), (2, 3), (3, 4), (4, 3)])
         assert comp == {1: 1, 2: 1, 3: 3, 4: 3}
 
     def test_self_loop_is_singleton(self):
-        comp = tarjan_scc([(5, 5), (5, 6)])
+        comp, _ = tarjan_scc([(5, 5), (5, 6)])
         assert comp == {5: 5, 6: 6}
 
     @pytest.mark.parametrize("seed", range(8))
@@ -90,7 +92,7 @@ class TestTarjan:
         edges = sorted(
             {(rng.randrange(8), rng.randrange(8)) for _ in range(14)}
         )
-        comp = tarjan_scc(edges)
+        comp, _ = tarjan_scc(edges)
         tc = transitive_closure_python(edges)
         verts = sorted(comp)
         for u, v in itertools.combinations(verts, 2):
@@ -98,7 +100,7 @@ class TestTarjan:
             assert (comp[u] == comp[v]) == mutual, (u, v)
 
     def test_id_is_min_member(self):
-        comp = tarjan_scc([(9, 4), (4, 9), (4, 2), (2, 4)])
+        comp, _ = tarjan_scc([(9, 4), (4, 9), (4, 2), (2, 4)])
         assert set(comp.values()) == {2}
 
 
@@ -134,7 +136,7 @@ class TestCondense:
     def test_paper_example5(self):
         # G_{b.c} of Fig. 5 condenses to 3 vertices and 3 edges.
         edges = [(2, 4), (2, 6), (3, 5), (4, 2), (5, 3)]
-        comp = tarjan_scc(edges)
+        comp, _ = tarjan_scc(edges)
         assert sorted(set(comp.values())) == [2, 3, 6]
         cond = condense_python(edges, comp)
         assert cond == {(2, 2), (2, 6), (3, 3)}

@@ -1,9 +1,11 @@
-"""Tests for Compute_RTC (repro.core.rtc) — paper Examples 4–6, Theorem 1."""
+"""Tests for Compute_RTC (repro.core.rtc) — paper Examples 4–6, Theorem 1,
+and the driver path against the distributed fallback."""
 import random
 
 import pandas as pd
 import pytest
 
+import repro.core.rtc as rtc_module
 from repro.core.edge_reduction import eval_kleene_free
 from repro.core.rtc import compute_rtc
 from repro.pyref import eval_rpq_python, transitive_closure_python
@@ -87,3 +89,114 @@ def test_lemma1_r_plus_equals_tc_of_gr(spark, paper_graph):
     )
     got = {(r.src, r.dst) for r in tc.collect()}
     assert got == eval_rpq_python(PAPER_EDGES, parse("(b.c)+"))
+
+
+def reconstruct(rtc):
+    """SCC ⋈ RTC ⋈ SCC as a vertex pair set (Theorem 1)."""
+    members: dict[int, list[int]] = {}
+    for r in rtc.scc.collect():
+        members.setdefault(r.s, []).append(r.v)
+    return {
+        (vi, vj)
+        for r in rtc.rtc.collect()
+        for vi in members[r.start_s]
+        for vj in members[r.end_s]
+    }
+
+
+def _chords(seed):
+    rng = random.Random(seed)
+    cycle = [(i, (i + 1) % 12) for i in range(12)]
+    return cycle + [(rng.randrange(12), rng.randrange(12)) for _ in range(8)]
+
+
+def _random(seed):
+    rng = random.Random(seed)
+    return [(rng.randrange(12), rng.randrange(12)) for _ in range(20)]
+
+
+R_G_GRAPHS = {
+    "example5": [(2, 4), (2, 6), (3, 5), (4, 2), (5, 3)],
+    **{f"random{seed}": _random(seed) for seed in range(3)},
+    "giant_scc": _chords(7),
+    "dag_chain": [(i, i + 1) for i in range(8)],
+    "self_loops_only": [(v, v) for v in range(5)],
+    "empty": [],
+}
+
+
+@pytest.fixture
+def fallback_calls(monkeypatch):
+    """Counts the runs of the distributed fallback inside compute_rtc."""
+    calls = []
+    distributed_scc = rtc_module.strongly_connected_components
+    monkeypatch.setattr(
+        rtc_module,
+        "strongly_connected_components",
+        lambda e: calls.append(1) or distributed_scc(e),
+    )
+    return calls
+
+
+def r_g_frame(spark, edges):
+    return spark.createDataFrame(
+        pd.DataFrame(edges, columns=["start_v", "end_v"]),
+        "start_v long, end_v long",
+    )
+
+
+@pytest.mark.parametrize("name", list(R_G_GRAPHS))
+def test_driver_path_matches_distributed_fallback(
+    spark, monkeypatch, fallback_calls, name
+):
+    """Both branches of compute_rtc give the same SCC and RTC pair sets,
+    and both reconstruct TC(G_R) (Theorem 1)."""
+    edges = sorted(set(R_G_GRAPHS[name]))
+    r_g = r_g_frame(spark, edges)
+    driver = compute_rtc(r_g)
+    assert fallback_calls == []
+    # A bound of -1 is exceeded even by an empty R_G.
+    monkeypatch.setattr(rtc_module, "driver_row_bound", lambda sc: -1)
+    fallback = compute_rtc(r_g)
+    assert fallback_calls == [1]
+
+    want = transitive_closure_python(edges)
+    for rtc in (driver, fallback):
+        assert rtc.scc.schema.simpleString() == "struct<v:bigint,s:bigint>"
+        assert (
+            rtc.rtc.schema.simpleString()
+            == "struct<start_s:bigint,end_s:bigint>"
+        )
+        assert reconstruct(rtc) == want
+    assert {tuple(r) for r in driver.scc.collect()} == {
+        tuple(r) for r in fallback.scc.collect()
+    }
+    assert {tuple(r) for r in driver.rtc.collect()} == {
+        tuple(r) for r in fallback.rtc.collect()
+    }
+
+
+def test_driver_path_stops_when_rtc_passes_bound(
+    spark, monkeypatch, fallback_calls
+):
+    """|R_G| fits the bound but |RTC| does not: the fallback runs."""
+    edges = [(i, i + 1) for i in range(6)]  # 6 edges, 21 RTC pairs
+    monkeypatch.setattr(rtc_module, "driver_row_bound", lambda sc: 10)
+    rtc = compute_rtc(r_g_frame(spark, edges))
+    assert fallback_calls == [1]
+    assert reconstruct(rtc) == transitive_closure_python(edges)
+
+
+def test_example5_compute_rtc_runs_at_most_three_jobs(spark, paper_graph):
+    """Deterministic counter: read R_G, write SCC, write RTC."""
+    r_g = eval_kleene_free(paper_graph, parse("b.c"))
+    sc = spark.sparkContext
+    group = "test-compute-rtc-jobs"
+    sc.setJobGroup(group, "compute_rtc on Example 5")
+    try:
+        compute_rtc(r_g)
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    sc._jsc.sc().listenerBus().waitUntilEmpty()
+    n_jobs = len(sc.statusTracker().getJobIdsForGroup(group))
+    assert 1 <= n_jobs <= 3

@@ -1,11 +1,12 @@
-"""Tests for distributed SCC (repro.graph.scc) vs driver-side Tarjan."""
+"""Tests for both SCC algorithms of repro.graph.scc: the distributed
+one and driver-side Tarjan, against each other and against networkx."""
 import random
 
+import networkx as nx
 import pandas as pd
 import pytest
 
-from repro.graph.scc import strongly_connected_components
-from repro.pyref import tarjan_scc
+from repro.graph.scc import strongly_connected_components, tarjan_scc
 
 
 def scc_spark(spark, edges, vertices=None):
@@ -19,6 +20,21 @@ def scc_spark(spark, edges, vertices=None):
         )
     out = strongly_connected_components(edf, vdf)
     return {r.v: r.s for r in out.collect()}
+
+
+def scc_networkx(edges):
+    """vertex -> min member of its SCC, from networkx."""
+    g = nx.DiGraph(edges)
+    return {
+        v: min(comp)
+        for comp in nx.strongly_connected_components(g)
+        for v in comp
+    }
+
+
+def _random_edges(seed, n, m):
+    rng = random.Random(seed)
+    return sorted({(rng.randrange(n), rng.randrange(n)) for _ in range(m)})
 
 
 class TestSmallGraphs:
@@ -80,18 +96,44 @@ class TestSmallGraphs:
 
 @pytest.mark.parametrize("seed", range(8))
 def test_random_vs_tarjan(spark, seed):
-    rng = random.Random(seed)
-    n = 20
-    edges = sorted(
-        {(rng.randrange(n), rng.randrange(n)) for _ in range(35)}
-    )
-    assert scc_spark(spark, edges) == tarjan_scc(edges)
+    edges = _random_edges(seed, 20, 35)
+    assert scc_spark(spark, edges) == tarjan_scc(edges)[0]
 
 
 def test_denser_random_vs_tarjan(spark):
-    rng = random.Random(99)
-    n = 40
-    edges = sorted(
-        {(rng.randrange(n), rng.randrange(n)) for _ in range(160)}
-    )
-    assert scc_spark(spark, edges) == tarjan_scc(edges)
+    edges = _random_edges(99, 40, 160)
+    assert scc_spark(spark, edges) == tarjan_scc(edges)[0]
+
+
+NX_GRAPHS = {
+    **{f"random{seed}": _random_edges(seed, 20, 35) for seed in range(8)},
+    "denser": _random_edges(99, 40, 160),
+    "empty": [],
+    "self_loops_only": [(v, v) for v in range(6)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(NX_GRAPHS))
+def test_tarjan_vs_networkx(name):
+    edges = NX_GRAPHS[name]
+    comp_of, components = tarjan_scc(edges)
+    assert comp_of == scc_networkx(edges)
+    # The member lists partition the vertices, named by their minimum.
+    assert sorted(v for c in components for v in c) == sorted(comp_of)
+    assert all(comp_of[v] == min(c) for c in components for v in c)
+
+
+@pytest.mark.parametrize("name", sorted(NX_GRAPHS))
+def test_distributed_vs_networkx(spark, name):
+    edges = NX_GRAPHS[name]
+    assert scc_spark(spark, edges) == scc_networkx(edges)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_tarjan_emits_reverse_topological_order(seed):
+    """Every SCC reachable from a component is emitted before it."""
+    edges = _random_edges(seed, 30, 45)
+    comp_of, components = tarjan_scc(edges)
+    rank = {comp_of[c[0]]: i for i, c in enumerate(components)}
+    for u, v in edges:
+        assert rank[comp_of[v]] <= rank[comp_of[u]]
