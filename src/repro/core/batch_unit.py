@@ -14,12 +14,21 @@ with the paper's four optimizations expressed directly in the plan:
 - *redundant-2* eliminated by ``distinct`` after ``⋈ RTC`` (ResEq8) —
   many source SCCs reaching one target SCC collapse to one row;
 - *useless-2* eliminated by **not** deduplicating after the final
-  ``⋈ SCC`` (ResEq9): SCC vertex sets are disjoint, so rows are unique
-  by construction and a duplicate check would be wasted work.
+  ``⋈ SCC`` when Post = ε and the closure is ``+``: SCC vertex sets are
+  disjoint, so rows are unique by construction and a duplicate check
+  would be wasted work.
 
-``Post`` is evaluated *restricted* to the end vertices of ResEq9
-(EvalRestrictedRPQ), and the Kleene-star zero-iteration branch routes
-``Pre_G`` through the same Post join (Algorithm 2 line 11).
+Joins are associative (Theorem 2), so the last two joins are taken
+right to left: ``SCC ⋈ Post_G`` is evaluated first, *restricted* to the
+vertices of ``G_R`` (EvalRestrictedRPQ keyed by SCC), giving
+``(s, post_end)`` pairs, and ResEq8 joins them on ``s``. The vertex-
+level ResEq9 — every reached SCC expanded back into its members — is
+never built. The Kleene-star zero-iteration branch (Algorithm 2 line
+11) stays at vertex level: ``Pre_G`` (or the identity over V when
+Pre = ε) extended through the same Post, unioned in before the one
+final ``distinct``. The whole unit is one lazy plan, materialized once;
+the SCC and RTC relations carry broadcast hints when ``compute_rtc``
+built them on the driver.
 
 The FullSharing variant evaluates the same batch unit with the shared
 ``R+_G`` and a plain pair-level join — the unoptimized pipeline the
@@ -31,7 +40,7 @@ from __future__ import annotations
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.edge_reduction import eval_kleene_free
+from repro.core.edge_reduction import eval_kleene_free, extend_pairs
 from repro.core.rtc import RTC
 from repro.core.timing import PhaseTimings
 from repro.graph.iterate import materialize, release
@@ -47,7 +56,7 @@ def _apply_star_and_post(
     post: Regex,
     timings: PhaseTimings,
 ) -> DataFrame:
-    """Shared tail of both pipelines: star zero-branch + Post join (10)."""
+    """Tail of the FullSharing pipeline: star zero-branch + Post join (10)."""
     with timings.phase("remainder"):
         if kind == "*":
             zero = (
@@ -82,8 +91,9 @@ def eval_batch_unit_rtc(
     post: Regex,
     timings: PhaseTimings,
 ) -> DataFrame:
-    """Algorithm 2 over DataFrames. ``pre_g is None`` means Pre = ε,
-    in which case ResEq7 is the SCC relation itself (Theorem 2)."""
+    """Algorithm 2 as one lazy plan, materialized once. ``pre_g is None``
+    means Pre = ε, in which case ResEq7 is the SCC relation itself
+    (Theorem 2)."""
     with timings.phase("pre_join"):
         if pre_g is None:
             # Every vertex of G_R paired with its SCC; unique by
@@ -109,26 +119,36 @@ def eval_batch_unit_rtc(
             .select("start_v", F.col("end_s").alias("s"))
             .distinct()
         )
-        # (9): ⋈ SCC with NO duplicate check — useless-2 elimination
-        # (SCC vertex sets are mutually disjoint). The join key ``s``
-        # has very few distinct values when SCCs are large (the whole
-        # point of the reduction), which would leave the output in a
-        # handful of partitions — repartition by start vertex so the
-        # downstream Post join runs parallel.
-        res_eq9 = materialize(
-            res_eq8.join(
-                rtc.scc.select(
-                    F.col("s"), F.col("v").alias("end_v")
-                ),
-                "s",
-            )
-            .select("start_v", "end_v")
-            .repartition("start_v")
+        # The tail (s, post_end) = π(SCC ⋈ Post_G): Post restricted to
+        # the vertices of G_R, keyed by SCC (with Post = ε, the SCC
+        # relation itself). Joining it on s stands for (9) followed by
+        # the Post join (Theorem 2's associativity), so the vertex-level
+        # ResEq9 is never built. The tail does not depend on res_eq8:
+        # narrowing it to the SCCs res_eq8 reaches would re-run eqs
+        # (7)–(8) and still scan every Post edge.
+        tail = extend_pairs(
+            graph,
+            rtc.scc.select(
+                F.col("s").alias("start_v"), F.col("v").alias("end_v")
+            ),
+            post,
+        ).select(F.col("start_v").alias("s"), F.col("end_v").alias("v"))
+        out = res_eq8.join(tail, "s").select(
+            "start_v", F.col("v").alias("end_v")
         )
-    out = _apply_star_and_post(graph, res_eq9, pre_g, kind, post, timings)
-    if out is not res_eq9:
-        release(res_eq9)
-    return out
+        if kind == "*":
+            # Zero iterations of R: (Pre·Post)_G at vertex level.
+            zero = (
+                pre_g
+                if pre_g is not None
+                else identity_pairs(graph.vertices)
+            )
+            out = out.union(extend_pairs(graph, zero, post))
+        if kind == "*" or not isinstance(post, Epsilon):
+            out = out.distinct()
+        # Otherwise no duplicate check — useless-2 elimination: SCC
+        # vertex sets are mutually disjoint and res_eq8 is distinct.
+        return materialize(out)
 
 
 def eval_batch_unit_full(

@@ -7,9 +7,11 @@ unlabeled edge". Two evaluators are provided:
 - ``eval_kleene_free`` — the relational path: DNF the (closure-free)
   expression into label sequences and evaluate each as a chain of joins
   over the per-label edge relations (Lemma 4 applied repeatedly). This
-  is what ``Pre_G``/``R_G``/``Post_G`` use in all three methods, and it
-  supports *restricted* evaluation from seed vertices
-  (EvalRestrictedRPQ in Algorithm 2).
+  is what ``Pre_G``/``R_G`` use in all three methods and ``Post_G`` in
+  FullSharing/NoSharing, and it supports *restricted* evaluation from
+  seed vertices (EvalRestrictedRPQ in Algorithm 2). ``extend_pairs`` is
+  the same label-join chain as a lazy plan over given pairs, which
+  RTCSharing uses to evaluate restricted Post keyed by SCC.
 - ``eval_rpq_automaton`` — the general Yakovets-style [5] traversal for
   arbitrary regexes: a product BFS of (start vertex, current vertex,
   NFA state) as iterative DataFrame joins, with the visited-set
@@ -64,19 +66,44 @@ def eval_kleene_free(
                 "start_v",
                 "left_semi",
             )
-        cur = cur.distinct()
-        for label in seq[1:]:
-            nxt = graph.edges_for_label(label).select(
-                F.col("src").alias("end_v"), F.col("dst").alias("next_v")
-            )
-            cur = (
-                cur.join(nxt, "end_v")
-                .select("start_v", F.col("next_v").alias("end_v"))
-                .distinct()
-            )
-        results.append(cur)
+        results.append(_follow(graph, cur.distinct(), seq[1:]))
     out = _union_all(results, empty_pairs(spark)).distinct()
     return materialize(out)
+
+
+def extend_pairs(
+    graph: LabeledGraph, pairs: DataFrame, regex: Regex
+) -> DataFrame:
+    """``pairs ⋈ regex_G`` on ``end_v``, as a lazy plan.
+
+    Every ``(start_v, end_v)`` pair is extended along each label
+    sequence of the closure-free ``regex`` — restricted evaluation keyed
+    by whatever ``start_v`` holds. Each label join is followed by a
+    ``distinct``; the union across sequences is left to the caller to
+    deduplicate, together with whatever else it unions in. For ε the
+    result is ``pairs`` itself.
+    """
+    return _union_all(
+        [_follow(graph, pairs, seq) for seq in label_sequences(regex)],
+        empty_pairs(graph.spark),
+    )
+
+
+def _follow(
+    graph: LabeledGraph, pairs: DataFrame, labels: tuple[str, ...]
+) -> DataFrame:
+    """Extend ``(start_v, end_v)`` pairs along ``labels``, one label
+    join and one ``distinct`` per label."""
+    for label in labels:
+        nxt = graph.edges_for_label(label).select(
+            F.col("src").alias("end_v"), F.col("dst").alias("next_v")
+        )
+        pairs = (
+            pairs.join(nxt, "end_v")
+            .select("start_v", F.col("next_v").alias("end_v"))
+            .distinct()
+        )
+    return pairs
 
 
 def eval_rpq_automaton(

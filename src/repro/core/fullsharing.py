@@ -28,7 +28,6 @@ class FullSharingEvaluator(MultiRPQEvaluator):
     def __init__(self, graph: LabeledGraph):
         super().__init__(graph)
         self._plus_cache: dict[str, DataFrame] = {}
-        self._plus_sizes: dict[str, int] = {}
 
     def _eval_closure_unit(
         self,
@@ -60,8 +59,8 @@ class FullSharingEvaluator(MultiRPQEvaluator):
                     )
                 )
             self._plus_cache[key] = r_plus
-            self._plus_sizes[key] = r_plus.count()
         return self._plus_cache[key]
 
     def shared_data_size(self) -> int:
-        return sum(self._plus_sizes.values())
+        # Counted here, not in the query path: the count is bookkeeping.
+        return sum(r_plus.count() for r_plus in self._plus_cache.values())

@@ -46,6 +46,9 @@ class RTC:
 
     - ``rtc``: ``(start_s, end_s)`` — ``TC(Ḡ_R)``, ≥1-step semantics.
     - ``scc``: ``(v, s)`` — the SCC relation of ``G_R`` (Section IV-B).
+
+    Both carry a broadcast hint when built on the driver; the
+    distributed fallback's frames carry none.
     """
 
     rtc: DataFrame
@@ -126,12 +129,14 @@ def _close_on_driver(
 
 
 def _frame(spark: SparkSession, **cols: list[int]) -> DataFrame:
-    """A materialized DataFrame of ``long`` columns from driver lists."""
+    """A materialized DataFrame of ``long`` columns from driver lists,
+    hinted for broadcast: it fits the driver, so it fits every executor.
+    Explicit hints apply even with ``autoBroadcastJoinThreshold=-1``."""
     pdf = pd.DataFrame(
         {c: np.asarray(v, dtype=np.int64) for c, v in cols.items()}
     )
     schema = ", ".join(f"{c} long" for c in cols)
-    return materialize(spark.createDataFrame(pdf, schema))
+    return F.broadcast(materialize(spark.createDataFrame(pdf, schema)))
 
 
 def _compute_rtc_distributed(r_g: DataFrame) -> RTC:

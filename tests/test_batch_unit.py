@@ -7,6 +7,7 @@ Python reference, and (spot checks) with the DuckDB recursive oracle.
 import pytest
 from pyspark.sql import functions as F
 
+import repro.core.batch_unit as batch_unit_module
 from repro.core.batch_unit import eval_batch_unit_full, eval_batch_unit_rtc
 from repro.core.edge_reduction import eval_kleene_free
 from repro.core.rtc import compute_rtc
@@ -47,6 +48,9 @@ CASES = [
     ("d", "*", None),
     (None, "*", None),
     ("e.d", "+", "c.e"),
+    (None, "*", "c"),  # R* zero branch over all of V, then Post
+    ("d", "*", "c.e"),  # multi-label Post on the zero branch
+    ("d", "+", "zz"),  # Post label not in Σ: empty answer
 ]
 
 
@@ -103,13 +107,33 @@ def test_vs_duckdb_oracle(paper_graph, shared, pre, kind, post):
 
 
 def test_timings_populated(paper_graph, shared):
+    """RTC's single action, eqs (7)–(10) with the Post join, is timed
+    under Pre⋈R+; its Remainder holds no Post join."""
     rtc, _ = shared
     t = PhaseTimings()
     pre_g = eval_kleene_free(paper_graph, parse("d"))
     eval_batch_unit_rtc(paper_graph, pre_g, rtc, "+", parse("c"), t)
     assert t.pre_join > 0
-    assert t.remainder > 0
+    assert t.remainder == 0
     assert t.shared_data == 0  # batch unit itself never computes shared data
+
+
+def test_rtc_batch_unit_materializes_once(paper_graph, shared, monkeypatch):
+    """Deterministic counter: the RTC batch unit is one lazy plan with a
+    single materialization — no ResEq9, no separate Post_G."""
+    rtc, _ = shared
+    pre_g = eval_kleene_free(paper_graph, parse("d"))
+    calls = []
+    real = batch_unit_module.materialize
+    monkeypatch.setattr(
+        batch_unit_module,
+        "materialize",
+        lambda df: calls.append(1) or real(df),
+    )
+    eval_batch_unit_rtc(
+        paper_graph, pre_g, rtc, "+", parse("c"), PhaseTimings()
+    )
+    assert len(calls) == 1
 
 
 def test_result_distinct(paper_graph, shared):

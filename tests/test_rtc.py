@@ -5,10 +5,14 @@ import random
 import pandas as pd
 import pytest
 
+import repro.core.batch_unit as batch_unit_module
 import repro.core.rtc as rtc_module
+from repro.core.batch_unit import eval_batch_unit_rtc
 from repro.core.edge_reduction import eval_kleene_free
 from repro.core.rtc import compute_rtc
+from repro.core.timing import PhaseTimings
 from repro.pyref import eval_rpq_python, transitive_closure_python
+from repro.rpq.ast import EPSILON
 from repro.rpq.parser import parse
 from tests.helpers import PAPER_EDGES
 
@@ -200,3 +204,54 @@ def test_example5_compute_rtc_runs_at_most_three_jobs(spark, paper_graph):
     sc._jsc.sc().listenerBus().waitUntilEmpty()
     n_jobs = len(sc.statusTracker().getJobIdsForGroup(group))
     assert 1 <= n_jobs <= 3
+
+
+def _batch_units(graph, rtc):
+    """Answers of a few RTC batch units over R = b.c, one per (Pre, kind,
+    Post) shape, each non-empty (an empty one may execute as an empty
+    relation, with no join left in its plan)."""
+    answers = []
+    for pre, kind, post in [
+        ("d", "+", "e"),
+        (None, "+", None),
+        ("d", "*", "b.c"),
+        (None, "*", "e"),
+    ]:
+        pre_g = None if pre is None else eval_kleene_free(graph, parse(pre))
+        post_ast = EPSILON if post is None else parse(post)
+        out = eval_batch_unit_rtc(
+            graph, pre_g, rtc, kind, post_ast, PhaseTimings()
+        )
+        answers.append({(r.start_v, r.end_v) for r in out.collect()})
+    return answers
+
+
+def test_fallback_rtc_batch_units_match_and_are_not_broadcast(
+    spark, paper_graph, monkeypatch, fallback_calls
+):
+    """The driver-built RTC is broadcast into the batch-unit joins; the
+    distributed fallback's is not, and both give the same answers."""
+    r_g = eval_kleene_free(paper_graph, parse("b.c"))
+    driver = compute_rtc(r_g)
+    monkeypatch.setattr(rtc_module, "driver_row_bound", lambda sc: -1)
+    fallback = compute_rtc(r_g)
+    assert fallback_calls == [1]
+
+    plans = []
+    real = batch_unit_module.materialize
+
+    def spy(df):
+        out = real(df)
+        plan = df._jdf.queryExecution().executedPlan().toString()
+        # Adaptive execution prints the final plan before the initial one.
+        plans.append(plan.split("== Initial Plan ==")[0])
+        return out
+
+    monkeypatch.setattr(batch_unit_module, "materialize", spy)
+    driver_answers = _batch_units(paper_graph, driver)
+    fallback_answers = _batch_units(paper_graph, fallback)
+    assert all(driver_answers)
+    assert fallback_answers == driver_answers
+    assert len(plans) == 8
+    assert all("BroadcastHashJoin" in p for p in plans[:4])
+    assert not any("BroadcastHashJoin" in p for p in plans[4:])
