@@ -15,7 +15,7 @@ from pyspark.sql import DataFrame
 from repro.core.edge_reduction import eval_kleene_free
 from repro.core.timing import PhaseTimings
 from repro.graph.iterate import materialize
-from repro.graph.model import LabeledGraph, empty_pairs
+from repro.graph.model import LabeledGraph, empty_pairs, union_all
 from repro.rpq.ast import Epsilon, Regex
 from repro.rpq.dnf import decompose_clause, to_dnf
 from repro.rpq.parser import parse
@@ -51,14 +51,10 @@ class MultiRPQEvaluator:
                 parts.append(
                     self._eval_closure_unit(pre_g, bu.r, bu.kind, bu.post, t)
                 )
-        if not parts:
-            return empty_pairs(self.graph.spark)
         if len(parts) == 1:
             return parts[0]
         with t.phase("remainder"):
-            out = parts[0]
-            for p in parts[1:]:
-                out = out.union(p)
+            out = union_all(parts, lambda: empty_pairs(self.graph.spark))
             return materialize(out.distinct())
 
     def _eval_closure_unit(

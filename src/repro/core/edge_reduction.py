@@ -24,19 +24,15 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.graph.iterate import FixpointGuard, materialize, release
-from repro.graph.model import LabeledGraph, empty_pairs, identity_pairs
+from repro.graph.model import (
+    LabeledGraph,
+    empty_pairs,
+    identity_pairs,
+    union_all,
+)
 from repro.rpq.ast import Regex
 from repro.rpq.automaton import build_nfa
 from repro.rpq.dnf import label_sequences
-
-
-def _union_all(parts: list[DataFrame], empty: DataFrame) -> DataFrame:
-    if not parts:
-        return empty
-    out = parts[0]
-    for p in parts[1:]:
-        out = out.union(p)
-    return out
 
 
 def eval_kleene_free(
@@ -67,7 +63,7 @@ def eval_kleene_free(
                 "left_semi",
             )
         results.append(_follow(graph, cur.distinct(), seq[1:]))
-    out = _union_all(results, empty_pairs(spark)).distinct()
+    out = union_all(results, lambda: empty_pairs(spark)).distinct()
     return materialize(out)
 
 
@@ -83,9 +79,9 @@ def extend_pairs(
     deduplicate, together with whatever else it unions in. For ε the
     result is ``pairs`` itself.
     """
-    return _union_all(
+    return union_all(
         [_follow(graph, pairs, seq) for seq in label_sequences(regex)],
-        empty_pairs(graph.spark),
+        lambda: empty_pairs(graph.spark),
     )
 
 
@@ -167,5 +163,5 @@ def eval_rpq_automaton(
         # a correct result (already unioned above; distinct dedupes).
         results.append(accept_set)
 
-    out = _union_all(results, empty_pairs(spark)).distinct()
+    out = union_all(results, lambda: empty_pairs(spark)).distinct()
     return materialize(out)

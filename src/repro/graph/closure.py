@@ -19,12 +19,12 @@ from pyspark.sql import functions as F
 from repro.graph.iterate import FixpointGuard, materialize, release
 
 
-def transitive_closure(edges: DataFrame, max_iter: int = 10_000) -> DataFrame:
+def transitive_closure(edges: DataFrame) -> DataFrame:
     """TC of a ``(src, dst)`` edge DataFrame, >=1-step semantics."""
     base = materialize(edges.select("src", "dst").distinct())
     tc = base
     delta = base
-    guard = FixpointGuard("transitive closure", max_iter)
+    guard = FixpointGuard("transitive closure")
     while not delta.isEmpty():
         guard.tick()
         hop = (

@@ -11,7 +11,8 @@ Schema conventions used across the whole codebase:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from typing import Callable
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
@@ -118,3 +119,14 @@ def identity_pairs(vertices: DataFrame) -> DataFrame:
 def empty_pairs(spark: SparkSession) -> DataFrame:
     """An empty ``(start_v, end_v)`` DataFrame."""
     return spark.createDataFrame([], "start_v long, end_v long")
+
+
+def union_all(
+    parts: list[DataFrame], empty: Callable[[], DataFrame]
+) -> DataFrame:
+    """Left-deep bag union of ``parts``, or ``empty()`` if there are none.
+
+    ``empty`` is called only then: even an empty DataFrame costs a
+    round trip to the JVM of tens of milliseconds.
+    """
+    return reduce(DataFrame.union, parts) if parts else empty()

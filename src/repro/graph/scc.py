@@ -31,6 +31,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.graph.iterate import FixpointGuard, materialize, release
+from repro.graph.model import union_all
 
 
 def tarjan_scc(
@@ -231,12 +232,10 @@ def strongly_connected_components(
         work = materialize(_restrict(work, remaining))
         release(prev_remaining, prev_work, colors, colored, reached)
 
-    if not assignments:
-        return spark.createDataFrame([], "v long, s long")
-    out = assignments[0]
-    for a in assignments[1:]:
-        out = out.union(a)
-    out = materialize(out)
-    release(*assignments)
-    release(remaining, work)
+    out = materialize(
+        union_all(
+            assignments, lambda: spark.createDataFrame([], "v long, s long")
+        )
+    )
+    release(*assignments, remaining, work)
     return out

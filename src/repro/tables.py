@@ -1,18 +1,16 @@
-"""Table-row builders + JSON (de)serialization for the five paper tables.
+"""Table-row builders and the sweeps' JSON form for the paper tables.
 
 Tables V and VI come from one Experiment-1 sweep, and Tables VII and
-VIII from one Experiment-2 sweep, so the sweeps are serializable: a job
-runs the sweep once, saves JSON, and the sibling table job reuses it.
+VIII from one Experiment-2 sweep, so ``repro.cli`` runs a sweep once,
+caches ``as_dicts`` of it as JSON, and prints both tables from that.
 Paper numbers are embedded so every printed table shows paper vs built
 side by side (the diff EXPERIMENTS.md records).
 """
 from __future__ import annotations
 
-import json
 from dataclasses import asdict
-from pathlib import Path
 
-from repro.experiments import DatasetResult, MethodRun, SizeResult
+from repro.experiments import DatasetResult, SizeResult
 
 # Paper-reported numbers (ms), Tables V & VI (#RPQs = 4).
 PAPER_TABLE5 = {
@@ -77,72 +75,18 @@ PAPER_TABLE8 = {
 }
 
 
-def _run_to_dict(run: MethodRun) -> dict:
-    return asdict(run)
-
-
-def save_exp1(results: list[DatasetResult], path: str | Path) -> None:
-    payload = [
-        {
-            "dataset": r.spec.name,
-            "stats": r.stats,
-            "runs": {m: _run_to_dict(run) for m, run in r.runs.items()},
-        }
-        for r in results
-    ]
-    Path(path).write_text(json.dumps(payload, indent=2))
-
-
-def load_exp1(path: str | Path) -> list[dict]:
-    return json.loads(Path(path).read_text())
-
-
-def save_exp2(results: list[SizeResult], path: str | Path) -> None:
-    payload = [
-        {
-            "n_rpqs": r.n_rpqs,
-            "runs": {m: _run_to_dict(run) for m, run in r.runs.items()},
-        }
-        for r in results
-    ]
-    Path(path).write_text(json.dumps(payload, indent=2))
-
-
-load_exp2 = load_exp1
-
-
-def exp1_as_dicts(results: list[DatasetResult]) -> list[dict]:
-    """Normalize live results to the same shape as the JSON files."""
-    return json.loads(
-        json.dumps(
-            [
-                {
-                    "dataset": r.spec.name,
-                    "stats": r.stats,
-                    "runs": {
-                        m: _run_to_dict(run) for m, run in r.runs.items()
-                    },
-                }
-                for r in results
-            ]
-        )
-    )
-
-
-def exp2_as_dicts(results: list[SizeResult]) -> list[dict]:
-    return json.loads(
-        json.dumps(
-            [
-                {
-                    "n_rpqs": r.n_rpqs,
-                    "runs": {
-                        m: _run_to_dict(run) for m, run in r.runs.items()
-                    },
-                }
-                for r in results
-            ]
-        )
-    )
+def as_dicts(results: list[DatasetResult] | list[SizeResult]) -> list[dict]:
+    """A sweep as the JSON-ready dicts that ``results/exp{1,2}.json`` hold
+    and the row builders below read."""
+    out = []
+    for r in results:
+        if isinstance(r, DatasetResult):
+            head = {"dataset": r.spec.name, "stats": r.stats}
+        else:
+            head = {"n_rpqs": r.n_rpqs}
+        runs = {m: asdict(run) for m, run in r.runs.items()}
+        out.append({**head, "runs": runs})
+    return out
 
 
 def _ratio(a: float, b: float) -> str:

@@ -1,21 +1,21 @@
-"""Test fixtures: tuned Spark conf, paper example graph, random graphs."""
+"""Test fixtures: one SparkSession, paper example graph, random graphs."""
 from __future__ import annotations
 
 import pytest
 
 from repro.graph.model import LabeledGraph
 from repro.pyref import Edge
+from repro.session import spark_session
 from tests.helpers import PAPER_EDGES
 
 
-@pytest.fixture(scope="session", autouse=True)
-def _small_shuffle(spark):
-    """Tiny graphs don't need 64 shuffle partitions; 8 cuts per-job cost."""
-    prev = spark.conf.get("spark.sql.shuffle.partitions")
-    spark.conf.set("spark.sql.shuffle.partitions", "8")
-    spark.sparkContext.setLogLevel("ERROR")
-    yield
-    spark.conf.set("spark.sql.shuffle.partitions", prev)
+@pytest.fixture(scope="session")
+def spark():
+    """One local SparkSession for the whole run; the test graphs are
+    tiny, so 8 shuffle partitions keep the per-job cost down."""
+    s = spark_session("repro-tests", shuffle_partitions=8)
+    yield s
+    s.stop()
 
 
 @pytest.fixture(scope="session")

@@ -1,14 +1,17 @@
 """Tests for table-row builders and sweep (de)serialization (repro.tables)."""
 import json
+from dataclasses import asdict
 
 import pytest
 
-from repro.experiments import MethodRun
+from repro.experiments import DatasetResult, MethodRun, SizeResult
+from repro.graph.generators import DATASETS
 from repro.tables import (
     PAPER_TABLE5,
     PAPER_TABLE6,
     PAPER_TABLE7,
     PAPER_TABLE8,
+    as_dicts,
     table5_rows,
     table6_rows,
     table7_rows,
@@ -107,12 +110,15 @@ class TestPaperConstants:
 
 class TestSerialization:
     def test_roundtrip(self, tmp_path):
-        from dataclasses import asdict
-
-        from repro.tables import load_exp1
-
         run = MethodRun("RTC", 4, 1.0, 2.0, 3.0, 6.0, 10, 20)
-        payload = [{"dataset": "x", "stats": {}, "runs": {"RTC": asdict(run)}}]
+        spec = DATASETS["robots_lite"]
+        runs = {"RTC": asdict(run)}
+        exp1 = [{"dataset": spec.name, "stats": {}, "runs": runs}]
+        exp2 = [{"n_rpqs": 4, "runs": runs}]
+        live1 = as_dicts([DatasetResult(spec, {}, {"RTC": run})])
+        live2 = as_dicts([SizeResult(4, {"RTC": run})])
+        assert (live1, live2) == (exp1, exp2)
         p = tmp_path / "exp.json"
-        p.write_text(json.dumps(payload))
-        assert load_exp1(p) == payload
+        for payload in (exp1, live1, live2):
+            p.write_text(json.dumps(payload, indent=2))
+            assert json.loads(p.read_text()) == payload
