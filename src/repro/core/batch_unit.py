@@ -43,7 +43,7 @@ from pyspark.sql import functions as F
 from repro.core.edge_reduction import eval_kleene_free, extend_pairs
 from repro.core.rtc import RTC
 from repro.core.timing import PhaseTimings
-from repro.graph.iterate import materialize, release
+from repro.graph.iterate import materialize
 from repro.graph.model import LabeledGraph, identity_pairs
 from repro.rpq.ast import Epsilon, Regex
 
@@ -179,8 +179,4 @@ def eval_batch_unit_full(
                 .distinct()
             )
         joined = materialize(joined)
-    out = _apply_star_and_post(graph, joined, pre_g, kind, post, timings)
-    if out is not joined and pre_g is not None:
-        # pre_g is None shares the cached r_plus as ``joined`` — keep it.
-        release(joined)
-    return out
+    return _apply_star_and_post(graph, joined, pre_g, kind, post, timings)

@@ -15,15 +15,16 @@ unlabeled edge". Two evaluators are provided:
 - ``eval_rpq_automaton`` — the general Yakovets-style [5] traversal for
   arbitrary regexes: a product BFS of (start vertex, current vertex,
   NFA state) as iterative DataFrame joins, with the visited-set
-  termination of Section II-B. Used as an independent evaluator for
-  differential tests and for queries that are not batch units.
+  termination of Section II-B. No method calls it: it is the
+  differential reference the tests check the three methods against.
 """
 from __future__ import annotations
 
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.graph.iterate import FixpointGuard, materialize, release
+from repro.graph.closure import semi_naive
+from repro.graph.iterate import materialize
 from repro.graph.model import (
     LabeledGraph,
     empty_pairs,
@@ -124,37 +125,26 @@ def eval_rpq_automaton(
         trans = spark.createDataFrame(
             list(nfa.transitions), "q int, label string, q2 int"
         )
-        frontier = materialize(
-            start_vs.select(
-                F.col("v").alias("start_v"),
-                F.col("v").alias("cur_v"),
-                F.lit(nfa.start).alias("q"),
-            )
-        )
-        visited = frontier
-        guard = FixpointGuard("automaton traversal")
-        while not frontier.isEmpty():
-            guard.tick()
-            stepped = (
-                frontier.join(
-                    graph.edges.withColumnRenamed("src", "cur_v"), "cur_v"
+        edges = graph.edges.withColumnRenamed("src", "cur_v")
+        visited = semi_naive(
+            materialize(
+                start_vs.select(
+                    F.col("v").alias("start_v"),
+                    F.col("v").alias("cur_v"),
+                    F.lit(nfa.start).alias("q"),
                 )
+            ),
+            lambda frontier: (
+                frontier.join(edges, "cur_v")
                 .join(trans, ["q", "label"])
                 .select(
                     "start_v",
                     F.col("dst").alias("cur_v"),
                     F.col("q2").alias("q"),
                 )
-                .distinct()
-            )
-            prev_frontier, prev_visited = frontier, visited
-            frontier = materialize(
-                stepped.join(
-                    visited, ["start_v", "cur_v", "q"], "left_anti"
-                )
-            )
-            visited = materialize(visited.union(frontier))
-            release(prev_frontier, prev_visited)
+            ),
+            "automaton traversal",
+        )
         accept_set = visited.filter(
             F.col("q").isin(list(nfa.accepts))
         ).select("start_v", F.col("cur_v").alias("end_v"))

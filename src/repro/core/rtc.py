@@ -28,7 +28,7 @@ from pyspark.sql import functions as F
 
 from repro.graph.closure import transitive_closure
 from repro.graph.condense import condense
-from repro.graph.iterate import materialize, release
+from repro.graph.iterate import materialize
 from repro.graph.scc import strongly_connected_components, tarjan_scc
 
 # Driver bytes per row of R_G plus RTC on the driver path, rounded up
@@ -153,6 +153,5 @@ def _compute_rtc_distributed(r_g: DataFrame) -> RTC:
             F.col("src").alias("start_s"), F.col("dst").alias("end_s")
         )
     )
-    release(tc)
     # ``scc`` comes back already materialized from the SCC algorithm.
     return RTC(rtc=rtc, scc=scc)

@@ -77,10 +77,6 @@ def run_method(
     # evaluate(); counting afterwards does not pollute the timings.
     rows = sum(df.count() for df in dfs)
     shared_size = ev.shared_data_size()
-    # Free the checkpointed result blocks so successive method runs are
-    # not skewed by block-manager memory pressure from earlier ones.
-    for df in dfs:
-        df.unpersist()
     n = len(queries)
     return MethodRun(
         method=method,
@@ -153,10 +149,6 @@ class DatasetResult:
     stats: dict[str, float]
     runs: dict[str, MethodRun] = field(default_factory=dict)
 
-    def ratio(self, num: str, den: str, metric: str) -> float:
-        d = getattr(self.runs[den], metric)
-        return getattr(self.runs[num], metric) / d if d else float("inf")
-
 
 def run_experiment1(
     spark: SparkSession,
@@ -200,10 +192,6 @@ class SizeResult:
 
     n_rpqs: int
     runs: dict[str, MethodRun] = field(default_factory=dict)
-
-    def ratio(self, num: str, den: str, metric: str) -> float:
-        d = getattr(self.runs[den], metric)
-        return getattr(self.runs[num], metric) / d if d else float("inf")
 
 
 def run_experiment2(

@@ -1,9 +1,8 @@
-"""Fixpoint-iteration utilities for semi-naive DataFrame loops.
+"""Fixpoint-iteration utilities for DataFrame loops.
 
 Iterative graph algorithms (SCC coloring, transitive closure, automaton
-traversal) re-join a delta DataFrame against a static edge relation
-until the delta is empty. Two things make this production-safe on
-Spark:
+traversal) re-join a DataFrame against a static edge relation until it
+stops changing. Two things make this production-safe on Spark:
 
 - ``materialize``: ``localCheckpoint(eager=True)`` truncates the
   lineage each round (otherwise the plan grows exponentially and the
@@ -11,6 +10,9 @@ Spark:
   also gives honest phase timings.
 - ``FixpointGuard``: a hard iteration cap that raises instead of
   spinning forever if an algorithm bug breaks monotonicity.
+
+The semi-naive delta loop built from these two lives in
+``repro.graph.closure.semi_naive``.
 """
 from __future__ import annotations
 
@@ -20,23 +22,6 @@ from pyspark.sql import DataFrame
 def materialize(df: DataFrame) -> DataFrame:
     """Eagerly compute ``df`` and truncate its lineage."""
     return df.localCheckpoint(eager=True)
-
-
-def release(*dfs: DataFrame) -> None:
-    """Drop the cached blocks of materialized DataFrames.
-
-    Only call on DataFrames that are provably never used again: their
-    lineage was truncated by ``localCheckpoint``, so once unpersisted
-    they cannot be recomputed. Iterative algorithms call this on the
-    previous round's delta/accumulator after the next round is
-    materialized — without it every round's blocks pile up in the block
-    manager for the whole query and distort later phases.
-    """
-    for df in dfs:
-        try:
-            df.unpersist()
-        except Exception:
-            pass  # best-effort: releasing cache is an optimization only
 
 
 class FixpointGuard:

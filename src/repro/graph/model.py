@@ -98,9 +98,6 @@ class LabeledGraph:
             "degree_per_label": n_e / (n_v * n_l) if n_v and n_l else 0.0,
         }
 
-    def to_pandas(self) -> pd.DataFrame:
-        return self.edges.toPandas()
-
     def triples(self) -> list[tuple[int, str, int]]:
         """Collect edges as python triples (driver-side oracles only)."""
         return [

@@ -30,7 +30,8 @@ from __future__ import annotations
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.graph.iterate import FixpointGuard, materialize, release
+from repro.graph.closure import semi_naive
+from repro.graph.iterate import FixpointGuard, materialize
 from repro.graph.model import union_all
 
 
@@ -128,31 +129,21 @@ def _min_color_fixpoint(edges: DataFrame, vertices: DataFrame) -> DataFrame:
         msgs = edges.join(
             colors.withColumnRenamed("v", "src"), "src"
         ).select(F.col("dst").alias("v"), F.col("c"))
-        prev_colors = colors
         colors = materialize(
             colors.union(msgs).groupBy("v").agg(F.min("c").alias("c"))
         )
-        release(prev_colors)
         cur_sum = colors.agg(F.sum("c")).collect()[0][0]
         if cur_sum == prev_sum:
             return colors
         prev_sum = cur_sum
 
 
-def strongly_connected_components(
-    edges: DataFrame, vertices: DataFrame | None = None
-) -> DataFrame:
-    """SCC assignment ``(v, s)`` for a ``(src, dst)`` edge DataFrame.
-
-    ``vertices`` optionally supplies extra isolated vertices to assign
-    (each its own singleton SCC); by default the vertex set is derived
-    from edge endpoints.
-    """
+def strongly_connected_components(edges: DataFrame) -> DataFrame:
+    """SCC assignment ``(v, s)`` for a ``(src, dst)`` edge DataFrame,
+    over the vertices that are edge endpoints."""
     spark = edges.sparkSession
     edges = edges.select("src", "dst").distinct()
-    remaining = materialize(
-        vertices.select("v").distinct() if vertices is not None else _vertices_of(edges)
-    )
+    remaining = materialize(_vertices_of(edges))
     # Self-loops never affect SCC membership; drop them from iteration.
     work = materialize(
         _restrict(edges.filter(F.col("src") != F.col("dst")), remaining)
@@ -201,41 +192,25 @@ def strongly_connected_components(
             .select("src", "dst", F.col("c_src").alias("c"))
         )
         roots = colors.filter(F.col("c") == F.col("v")).select("v", "c")
-        reached = materialize(roots)
-        frontier = reached
-        guard = FixpointGuard("scc backward collect")
-        while not frontier.isEmpty():
-            guard.tick()
-            nxt = (
-                colored.join(
-                    frontier.select(
-                        F.col("v").alias("dst"), F.col("c")
-                    ),
-                    ["dst", "c"],
-                )
-                .select(F.col("src").alias("v"), F.col("c"))
-                .distinct()
-                .join(reached, ["v", "c"], "left_anti")
-            )
-            prev_frontier, prev_reached = frontier, reached
-            frontier = materialize(nxt)
-            reached = materialize(reached.union(frontier))
-            release(prev_frontier, prev_reached)
+        reached = semi_naive(
+            materialize(roots),
+            lambda frontier: colored.join(
+                frontier.select(F.col("v").alias("dst"), F.col("c")),
+                ["dst", "c"],
+            ).select(F.col("src").alias("v"), F.col("c")),
+            "scc backward collect",
+        )
 
         assignments.append(
             materialize(reached.select("v", F.col("c").alias("s")))
         )
-        prev_remaining, prev_work = remaining, work
         remaining = materialize(
             remaining.join(reached.select("v"), "v", "left_anti")
         )
         work = materialize(_restrict(work, remaining))
-        release(prev_remaining, prev_work, colors, colored, reached)
 
-    out = materialize(
+    return materialize(
         union_all(
             assignments, lambda: spark.createDataFrame([], "v long, s long")
         )
     )
-    release(*assignments, remaining, work)
-    return out

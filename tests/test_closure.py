@@ -9,9 +9,13 @@ import random
 import pandas as pd
 import pytest
 
+import repro.graph.closure as closure
+from repro.core.edge_reduction import eval_rpq_automaton
 from repro.graph.closure import transitive_closure
+from repro.graph.iterate import FixpointGuard
 from repro.oracle import assert_equivalent
 from repro.pyref import transitive_closure_python
+from repro.rpq.parser import parse
 
 
 def tc_spark(spark, edges):
@@ -99,3 +103,43 @@ def test_random_vs_duckdb_recursive(spark, seed):
         """,
         e=pd.DataFrame(edges, columns=["src", "dst"]),
     )
+
+
+@pytest.fixture
+def fixpoint_counts(monkeypatch):
+    """Counts checkpoints taken through ``closure.materialize`` and
+    ``FixpointGuard`` rounds, so a change to the fixpoint loop shows up
+    as a changed count."""
+    counts = {"checkpoints": 0, "rounds": 0}
+    real_materialize, real_tick = closure.materialize, FixpointGuard.tick
+
+    def materialize(df):
+        counts["checkpoints"] += 1
+        return real_materialize(df)
+
+    def tick(guard):
+        counts["rounds"] += 1
+        return real_tick(guard)
+
+    monkeypatch.setattr(closure, "materialize", materialize)
+    monkeypatch.setattr(FixpointGuard, "tick", tick)
+    return counts
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_chain_tc_rounds_and_checkpoints(spark, fixpoint_counts, n):
+    """An n-edge chain closes in n rounds: one checkpoint for the base
+    edges, then one for the frontier and one for the union per round."""
+    edges = [(i, i + 1) for i in range(n)]
+    got = tc_spark(spark, edges)
+    assert fixpoint_counts == {"rounds": n, "checkpoints": 1 + 2 * n}
+    assert got.count() == n * (n + 1) // 2
+
+
+def test_automaton_rounds(paper_graph, fixpoint_counts):
+    """d.(b.c)+.c on the paper graph: three rounds find new (start,
+    vertex, state) triples (d, b, c from v7), the fourth reaches only
+    visited ones and ends the traversal."""
+    got = eval_rpq_automaton(paper_graph, parse("d.(b.c)+.c"))
+    assert fixpoint_counts["rounds"] == 4
+    assert got.isEmpty()

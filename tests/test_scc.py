@@ -9,16 +9,11 @@ import pytest
 from repro.graph.scc import strongly_connected_components, tarjan_scc
 
 
-def scc_spark(spark, edges, vertices=None):
+def scc_spark(spark, edges):
     edf = spark.createDataFrame(
         pd.DataFrame(edges, columns=["src", "dst"]), "src long, dst long"
     )
-    vdf = None
-    if vertices is not None:
-        vdf = spark.createDataFrame(
-            pd.DataFrame({"v": list(vertices)}), "v long"
-        )
-    out = strongly_connected_components(edf, vdf)
+    out = strongly_connected_components(edf)
     return {r.v: r.s for r in out.collect()}
 
 
@@ -65,15 +60,8 @@ class TestSmallGraphs:
         edges = [(2, 4), (2, 6), (3, 5), (4, 2), (5, 3)]
         assert scc_spark(spark, edges) == {2: 2, 4: 2, 3: 3, 5: 3, 6: 6}
 
-    def test_extra_isolated_vertices(self, spark):
-        got = scc_spark(spark, [(1, 2), (2, 1)], vertices=[1, 2, 7, 9])
-        assert got == {1: 1, 2: 1, 7: 7, 9: 9}
-
     def test_self_loop_only(self, spark):
         assert scc_spark(spark, [(0, 0)]) == {0: 0}
-
-    def test_no_edges_only_vertices(self, spark):
-        assert scc_spark(spark, [], vertices=[3, 5]) == {3: 3, 5: 5}
 
     def test_long_path_all_singletons(self, spark):
         edges = [(i, i + 1) for i in range(12)]
