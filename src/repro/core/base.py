@@ -1,14 +1,17 @@
 """Shared driver for the three multi-RPQ evaluation methods.
 
 All three methods (RTCSharing, FullSharing, NoSharing) process a query
-the same way at the top: convert to DNF treating outermost closures as
-literals, decompose each clause into a batch unit ``Pre·R{+,*}·Post``
-(DecomposeCL), evaluate ``Pre`` recursively, and union clause results
-(Algorithm 1's skeleton). They differ only in how the closure part of a
-batch unit is evaluated and what is cached across RPQs — subclasses
-implement ``_eval_closure_unit``.
+the same way (Algorithm 1's skeleton): convert to DNF treating
+outermost closures as literals, decompose each clause into a batch unit
+``Pre·R{+,*}·Post`` (DecomposeCL), evaluate ``Pre`` recursively, look
+up — or build from ``R_G`` and cache by ``R`` — the structure shared
+across RPQs, evaluate the batch unit against it, and union clause
+results. They differ only in that structure and the join that reads
+it: subclasses implement ``_build_shared`` and ``_eval_unit``.
 """
 from __future__ import annotations
+
+from typing import Any
 
 from pyspark.sql import DataFrame
 
@@ -28,6 +31,8 @@ class MultiRPQEvaluator:
 
     def __init__(self, graph: LabeledGraph):
         self.graph = graph
+        # Shared structure per closure body R, keyed by R.canon().
+        self._shared: dict[str, Any] = {}
 
     def evaluate(
         self, query: str | Regex, timings: PhaseTimings | None = None
@@ -48,23 +53,37 @@ class MultiRPQEvaluator:
                     if isinstance(bu.pre, Epsilon)
                     else self.evaluate(bu.pre, timings=t)
                 )
-                parts.append(
-                    self._eval_closure_unit(pre_g, bu.r, bu.kind, bu.post, t)
-                )
+                shared = self._shared_for(bu.r, t)
+                with t.phase("pre_join"):
+                    parts.append(
+                        self._eval_unit(pre_g, shared, bu.kind, bu.post)
+                    )
         if len(parts) == 1:
             return parts[0]
         with t.phase("remainder"):
             out = union_all(parts, lambda: empty_pairs(self.graph.spark))
             return materialize(out.distinct())
 
-    def _eval_closure_unit(
-        self,
-        pre_g: DataFrame | None,
-        r: Regex,
-        kind: str,
-        post: Regex,
-        timings: PhaseTimings,
+    def _shared_for(self, r: Regex, t: PhaseTimings) -> Any:
+        key = r.canon()
+        if key not in self._shared:
+            # R_G is computed identically by all methods and therefore
+            # attributed to Remainder, not Shared_Data (Section V-B).
+            r_g = self.evaluate(r, timings=t)
+            with t.phase("shared_data"):
+                self._shared[key] = self._build_shared(r_g)
+        return self._shared[key]
+
+    def _build_shared(self, r_g: DataFrame) -> Any:
+        """The structure shared by every batch unit over ``R``, from
+        ``R_G`` pairs ``(start_v, end_v)``."""
+        raise NotImplementedError
+
+    def _eval_unit(
+        self, pre_g: DataFrame | None, shared: Any, kind: str, post: Regex
     ) -> DataFrame:
+        """EvalBatchUnit ``Pre·R{+,*}·Post`` (``pre_g is None`` for
+        Pre = ε) against the shared structure of ``R``."""
         raise NotImplementedError
 
     def shared_data_size(self) -> int:

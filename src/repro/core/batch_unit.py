@@ -33,54 +33,22 @@ built them on the driver.
 The FullSharing variant evaluates the same batch unit with the shared
 ``R+_G`` and a plain pair-level join — the unoptimized pipeline the
 paper compares against (it performs the redundant/useless work by
-construction).
+construction) — then extends it through the same ``extend_pairs``
+Post plan. Both units end in ``_finish``: the ``R*`` zero branch, one
+``distinct`` and one materialization.
 """
 from __future__ import annotations
 
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.edge_reduction import eval_kleene_free, extend_pairs
+# Not called here: kept as a name rpqbench/spans.py wraps.
+from repro.core.edge_reduction import eval_kleene_free  # noqa: F401
+from repro.core.edge_reduction import extend_pairs
 from repro.core.rtc import RTC
-from repro.core.timing import PhaseTimings
 from repro.graph.iterate import materialize
 from repro.graph.model import LabeledGraph, identity_pairs
 from repro.rpq.ast import Epsilon, Regex
-
-
-def _apply_star_and_post(
-    graph: LabeledGraph,
-    pairs: DataFrame,
-    pre_g: DataFrame | None,
-    kind: str,
-    post: Regex,
-    timings: PhaseTimings,
-) -> DataFrame:
-    """Tail of the FullSharing pipeline: star zero-branch + Post join (10)."""
-    with timings.phase("remainder"):
-        if kind == "*":
-            zero = (
-                pre_g
-                if pre_g is not None
-                else identity_pairs(graph.vertices)
-            )
-            pairs = pairs.union(zero)
-        if isinstance(post, Epsilon):
-            return materialize(pairs.distinct())
-        seeds = pairs.select(F.col("end_v").alias("v")).distinct()
-        post_g = eval_kleene_free(graph, post, seeds=seeds)
-        out = (
-            pairs.join(
-                post_g.select(
-                    F.col("start_v").alias("end_v"),
-                    F.col("end_v").alias("post_end_v"),
-                ),
-                "end_v",
-            )
-            .select("start_v", F.col("post_end_v").alias("end_v"))
-            .distinct()
-        )
-        return materialize(out)
 
 
 def eval_batch_unit_rtc(
@@ -89,66 +57,45 @@ def eval_batch_unit_rtc(
     rtc: RTC,
     kind: str,
     post: Regex,
-    timings: PhaseTimings,
 ) -> DataFrame:
     """Algorithm 2 as one lazy plan, materialized once. ``pre_g is None``
     means Pre = ε, in which case ResEq7 is the SCC relation itself
     (Theorem 2)."""
-    with timings.phase("pre_join"):
-        if pre_g is None:
-            # Every vertex of G_R paired with its SCC; unique by
-            # construction (one SCC per vertex).
-            res_eq7 = rtc.scc.select(
-                F.col("v").alias("start_v"), F.col("s")
-            )
-        else:
-            # (7): Pre_G ⋈ SCC, distinct — eliminates redundant-1 ops.
-            res_eq7 = (
-                pre_g.join(
-                    rtc.scc.withColumnRenamed("v", "end_v"), "end_v"
-                )
-                .select("start_v", "s")
-                .distinct()
-            )
-        # (8): ⋈ RTC, distinct — eliminates redundant-2 ops. useless-1
-        # ops never happen: only SCCs present in res_eq7 are expanded.
-        res_eq8 = (
-            res_eq7.join(
-                rtc.rtc.withColumnRenamed("start_s", "s"), "s"
-            )
-            .select("start_v", F.col("end_s").alias("s"))
+    if pre_g is None:
+        # Every vertex of G_R paired with its SCC; unique by
+        # construction (one SCC per vertex).
+        res_eq7 = rtc.scc.select(F.col("v").alias("start_v"), F.col("s"))
+    else:
+        # (7): Pre_G ⋈ SCC, distinct — eliminates redundant-1 ops.
+        res_eq7 = (
+            pre_g.join(rtc.scc.withColumnRenamed("v", "end_v"), "end_v")
+            .select("start_v", "s")
             .distinct()
         )
-        # The tail (s, post_end) = π(SCC ⋈ Post_G): Post restricted to
-        # the vertices of G_R, keyed by SCC (with Post = ε, the SCC
-        # relation itself). Joining it on s stands for (9) followed by
-        # the Post join (Theorem 2's associativity), so the vertex-level
-        # ResEq9 is never built. The tail does not depend on res_eq8:
-        # narrowing it to the SCCs res_eq8 reaches would re-run eqs
-        # (7)–(8) and still scan every Post edge.
-        tail = extend_pairs(
-            graph,
-            rtc.scc.select(
-                F.col("s").alias("start_v"), F.col("v").alias("end_v")
-            ),
-            post,
-        ).select(F.col("start_v").alias("s"), F.col("end_v").alias("v"))
-        out = res_eq8.join(tail, "s").select(
-            "start_v", F.col("v").alias("end_v")
-        )
-        if kind == "*":
-            # Zero iterations of R: (Pre·Post)_G at vertex level.
-            zero = (
-                pre_g
-                if pre_g is not None
-                else identity_pairs(graph.vertices)
-            )
-            out = out.union(extend_pairs(graph, zero, post))
-        if kind == "*" or not isinstance(post, Epsilon):
-            out = out.distinct()
-        # Otherwise no duplicate check — useless-2 elimination: SCC
-        # vertex sets are mutually disjoint and res_eq8 is distinct.
-        return materialize(out)
+    # (8): ⋈ RTC, distinct — eliminates redundant-2 ops. useless-1
+    # ops never happen: only SCCs present in res_eq7 are expanded.
+    res_eq8 = (
+        res_eq7.join(rtc.rtc.withColumnRenamed("start_s", "s"), "s")
+        .select("start_v", F.col("end_s").alias("s"))
+        .distinct()
+    )
+    # The tail (s, post_end) = π(SCC ⋈ Post_G): Post restricted to
+    # the vertices of G_R, keyed by SCC (with Post = ε, the SCC
+    # relation itself). Joining it on s stands for (9) followed by
+    # the Post join (Theorem 2's associativity), so the vertex-level
+    # ResEq9 is never built. The tail does not depend on res_eq8:
+    # narrowing it to the SCCs res_eq8 reaches would re-run eqs
+    # (7)–(8) and still scan every Post edge.
+    tail = extend_pairs(
+        graph,
+        rtc.scc.select(F.col("s").alias("start_v"), F.col("v").alias("end_v")),
+        post,
+    ).select(F.col("start_v").alias("s"), F.col("end_v").alias("v"))
+    out = res_eq8.join(tail, "s").select("start_v", F.col("v").alias("end_v"))
+    # With kind + and Post = ε, out needs no duplicate check — useless-2
+    # elimination: SCC vertex sets are mutually disjoint and res_eq8 is
+    # distinct.
+    return _finish(graph, out, pre_g, kind, post)
 
 
 def eval_batch_unit_full(
@@ -157,26 +104,44 @@ def eval_batch_unit_full(
     r_plus: DataFrame,
     kind: str,
     post: Regex,
-    timings: PhaseTimings,
 ) -> DataFrame:
     """FullSharing batch unit: plain ``Pre_G ⋈ R+_G`` at the vertex-pair
-    level — the unoptimized pipeline of [8] used as the baseline."""
-    with timings.phase("pre_join"):
-        if pre_g is None:
-            joined = r_plus
-        else:
-            joined = (
-                pre_g.join(
-                    r_plus.select(
-                        F.col("start_v").alias("end_v"),
-                        F.col("end_v").alias("plus_end_v"),
-                    ),
-                    "end_v",
-                )
-                .select(
-                    "start_v", F.col("plus_end_v").alias("end_v")
-                )
-                .distinct()
+    level — the unoptimized pipeline of [8] used as the baseline —
+    extended through Post in the same plan."""
+    if pre_g is None:
+        joined = r_plus
+    else:
+        joined = (
+            pre_g.join(
+                r_plus.select(
+                    F.col("start_v").alias("end_v"),
+                    F.col("end_v").alias("plus_end_v"),
+                ),
+                "end_v",
             )
-        joined = materialize(joined)
-    return _apply_star_and_post(graph, joined, pre_g, kind, post, timings)
+            .select("start_v", F.col("plus_end_v").alias("end_v"))
+            .distinct()
+        )
+    # R+_G and joined are distinct, so with kind + and Post = ε so is out.
+    return _finish(
+        graph, extend_pairs(graph, joined, post), pre_g, kind, post
+    )
+
+
+def _finish(
+    graph: LabeledGraph,
+    out: DataFrame,
+    pre_g: DataFrame | None,
+    kind: str,
+    post: Regex,
+) -> DataFrame:
+    """The tail both units share: the ``R*`` zero branch, one
+    ``distinct`` (none for ``+`` with Post = ε: ``out`` is distinct by
+    construction there) and the unit's one materialization."""
+    if kind == "*":
+        # Zero iterations of R: (Pre·Post)_G at vertex level.
+        zero = pre_g if pre_g is not None else identity_pairs(graph.vertices)
+        out = out.union(extend_pairs(graph, zero, post))
+    if kind == "*" or not isinstance(post, Epsilon):
+        out = out.distinct()
+    return materialize(out)

@@ -7,11 +7,13 @@ unlabeled edge". Two evaluators are provided:
 - ``eval_kleene_free`` — the relational path: DNF the (closure-free)
   expression into label sequences and evaluate each as a chain of joins
   over the per-label edge relations (Lemma 4 applied repeatedly). This
-  is what ``Pre_G``/``R_G`` use in all three methods and ``Post_G`` in
-  FullSharing/NoSharing, and it supports *restricted* evaluation from
-  seed vertices (EvalRestrictedRPQ in Algorithm 2). ``extend_pairs`` is
-  the same label-join chain as a lazy plan over given pairs, which
-  RTCSharing uses to evaluate restricted Post keyed by SCC.
+  is what ``Pre_G``/``R_G`` and closure-free clauses use in all three
+  methods. There is no seeded evaluation: ``extend_pairs`` is the same
+  label-join chain as a lazy plan over given pairs, and every batch
+  unit evaluates Post through it — RTCSharing restricted to the
+  vertices of ``G_R`` and keyed by SCC (EvalRestrictedRPQ in
+  Algorithm 2), FullSharing/NoSharing from the ends of
+  ``Pre_G ⋈ R+_G``.
 - ``eval_rpq_automaton`` — the general Yakovets-style [5] traversal for
   arbitrary regexes: a product BFS of (start vertex, current vertex,
   NFA state) as iterative DataFrame joins, with the visited-set
@@ -36,33 +38,21 @@ from repro.rpq.automaton import build_nfa
 from repro.rpq.dnf import label_sequences
 
 
-def eval_kleene_free(
-    graph: LabeledGraph, regex: Regex, seeds: DataFrame | None = None
-) -> DataFrame:
+def eval_kleene_free(graph: LabeledGraph, regex: Regex) -> DataFrame:
     """Evaluate a closure-free RPQ as label-join chains.
 
-    Returns distinct ``(start_v, end_v)`` pairs. ``seeds`` (a ``(v)``
-    DataFrame) restricts start vertices — the restricted evaluation used
-    for ``Post`` so only paths reachable from ``(Pre·R+)_G`` ends are
-    explored. For the ε expression the result is the identity relation
-    over ``seeds`` (or over all of V).
+    Returns distinct ``(start_v, end_v)`` pairs. For the ε expression
+    the result is the identity relation over V.
     """
     spark = graph.spark
     results: list[DataFrame] = []
     for seq in label_sequences(regex):
         if not seq:
-            base = seeds if seeds is not None else graph.vertices
-            results.append(identity_pairs(base))
+            results.append(identity_pairs(graph.vertices))
             continue
         cur = graph.edges_for_label(seq[0]).select(
             F.col("src").alias("start_v"), F.col("dst").alias("end_v")
         )
-        if seeds is not None:
-            cur = cur.join(
-                seeds.withColumnRenamed("v", "start_v"),
-                "start_v",
-                "left_semi",
-            )
         results.append(_follow(graph, cur.distinct(), seq[1:]))
     out = union_all(results, lambda: empty_pairs(spark)).distinct()
     return materialize(out)

@@ -10,6 +10,8 @@ describes.
 """
 from __future__ import annotations
 
+from pyspark.sql import DataFrame
+
 from repro.core.fullsharing import FullSharingEvaluator
 from repro.core.timing import PhaseTimings
 from repro.rpq.ast import Regex
@@ -20,10 +22,10 @@ class NoSharingEvaluator(FullSharingEvaluator):
 
     name = "No"
 
-    def _r_plus_for(self, r: Regex, timings: PhaseTimings):
+    def _shared_for(self, r: Regex, t: PhaseTimings) -> DataFrame:
         # Drop any cached closure so every query pays the full cost.
-        self._plus_cache.pop(r.canon(), None)
-        return super()._r_plus_for(r, timings)
+        self._shared.pop(r.canon(), None)
+        return super()._shared_for(r, t)
 
     def shared_data_size(self) -> int:
         return 0

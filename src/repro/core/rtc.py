@@ -148,10 +148,7 @@ def _compute_rtc_distributed(r_g: DataFrame) -> RTC:
     scc = strongly_connected_components(edges)
     reduced = condense(edges, scc)
     tc = transitive_closure(reduced)
-    rtc = materialize(
-        tc.select(
-            F.col("src").alias("start_s"), F.col("dst").alias("end_s")
-        )
-    )
-    # ``scc`` comes back already materialized from the SCC algorithm.
+    # ``tc`` and ``scc`` come back already materialized; the renaming
+    # needs no copy.
+    rtc = tc.select(F.col("src").alias("start_s"), F.col("dst").alias("end_s"))
     return RTC(rtc=rtc, scc=scc)

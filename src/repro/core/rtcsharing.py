@@ -14,8 +14,6 @@ from pyspark.sql import DataFrame
 from repro.core.base import MultiRPQEvaluator
 from repro.core.batch_unit import eval_batch_unit_rtc
 from repro.core.rtc import RTC, compute_rtc
-from repro.core.timing import PhaseTimings
-from repro.graph.model import LabeledGraph
 from repro.rpq.ast import Regex
 
 
@@ -24,32 +22,13 @@ class RTCSharingEvaluator(MultiRPQEvaluator):
 
     name = "RTC"
 
-    def __init__(self, graph: LabeledGraph):
-        super().__init__(graph)
-        self._rtc_cache: dict[str, RTC] = {}
+    def _build_shared(self, r_g: DataFrame) -> RTC:
+        return compute_rtc(r_g)
 
-    def _eval_closure_unit(
-        self,
-        pre_g: DataFrame | None,
-        r: Regex,
-        kind: str,
-        post: Regex,
-        timings: PhaseTimings,
+    def _eval_unit(
+        self, pre_g: DataFrame | None, rtc: RTC, kind: str, post: Regex
     ) -> DataFrame:
-        rtc = self._rtc_for(r, timings)
-        return eval_batch_unit_rtc(
-            self.graph, pre_g, rtc, kind, post, timings
-        )
-
-    def _rtc_for(self, r: Regex, timings: PhaseTimings) -> RTC:
-        key = r.canon()
-        if key not in self._rtc_cache:
-            # R_G is computed identically by all methods and therefore
-            # attributed to Remainder, not Shared_Data (Section V-B).
-            r_g = self.evaluate(r, timings=timings)
-            with timings.phase("shared_data"):
-                self._rtc_cache[key] = compute_rtc(r_g)
-        return self._rtc_cache[key]
+        return eval_batch_unit_rtc(self.graph, pre_g, rtc, kind, post)
 
     def shared_data_size(self) -> int:
-        return sum(rtc.n_pairs() for rtc in self._rtc_cache.values())
+        return sum(rtc.n_pairs() for rtc in self._shared.values())

@@ -6,12 +6,12 @@ The paper splits each method's query response time into three parts:
   (``TC(Ḡ_R)`` + the ``G_R → Ḡ_R`` reduction for RTCSharing;
   ``TC(G_R)`` for FullSharing). The ``R_G`` computation is excluded
   (both methods do it identically) and lands in ``remainder``.
-- ``pre_join`` — the ``Pre_G ⋈ R+_G`` phase. For RTCSharing it is the
-  batch unit's single action, equations (7)–(10) including the Post
-  join, which runs at SCC level inside the same plan; for FullSharing
-  it is the single ``Pre_G ⋈ R+_G`` join.
-- ``remainder`` — everything else: ``Pre_G``, ``R_G``, FullSharing's
-  Post join, and result unions.
+- ``pre_join`` — the ``Pre_G ⋈ R+_G`` phase: the batch unit's single
+  action, Post join included, for every method (equations (7)–(10)
+  for RTCSharing; ``Pre_G ⋈ R+_G`` extended through Post for
+  FullSharing/NoSharing). ``MultiRPQEvaluator.evaluate`` times it.
+- ``remainder`` — everything else: ``Pre_G``, ``R_G``, closure-free
+  clauses and result unions.
 
 Phases only record at the outermost level (``_active`` guard), so a
 recursive evaluator call wrapped in a phase cannot double-count its

@@ -62,10 +62,7 @@ def run_method(
     # Nudge the JVM to collect garbage from the previous method's run so
     # a GC pause from earlier cached blocks doesn't land inside this
     # method's timed window.
-    try:
-        graph.spark.sparkContext._jvm.System.gc()
-    except Exception:
-        pass
+    graph.spark.sparkContext._jvm.System.gc()
     ev = METHODS[method](graph)
     t = PhaseTimings()
     dfs = []

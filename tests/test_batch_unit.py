@@ -8,10 +8,10 @@ import pytest
 from pyspark.sql import functions as F
 
 import repro.core.batch_unit as batch_unit_module
+from repro.core import FullSharingEvaluator, PhaseTimings, RTCSharingEvaluator
 from repro.core.batch_unit import eval_batch_unit_full, eval_batch_unit_rtc
 from repro.core.edge_reduction import eval_kleene_free
 from repro.core.rtc import compute_rtc
-from repro.core.timing import PhaseTimings
 from repro.graph.closure import transitive_closure
 from repro.graph.iterate import materialize
 from repro.oracle import assert_equivalent
@@ -63,16 +63,15 @@ def full_query_text(pre, kind, post):
 @pytest.mark.parametrize("pre,kind,post", CASES)
 def test_rtc_vs_full_vs_pyref(paper_graph, shared, pre, kind, post):
     rtc, r_plus = shared
-    t = PhaseTimings()
     pre_g = (
         None if pre is None else eval_kleene_free(paper_graph, parse(pre))
     )
     post_ast = EPSILON if post is None else parse(post)
     got_rtc = rows(
-        eval_batch_unit_rtc(paper_graph, pre_g, rtc, kind, post_ast, t)
+        eval_batch_unit_rtc(paper_graph, pre_g, rtc, kind, post_ast)
     )
     got_full = rows(
-        eval_batch_unit_full(paper_graph, pre_g, r_plus, kind, post_ast, t)
+        eval_batch_unit_full(paper_graph, pre_g, r_plus, kind, post_ast)
     )
     want = eval_rpq_python(
         PAPER_EDGES, parse(full_query_text(pre, kind, post))
@@ -87,12 +86,11 @@ def test_rtc_vs_full_vs_pyref(paper_graph, shared, pre, kind, post):
 )
 def test_vs_duckdb_oracle(paper_graph, shared, pre, kind, post):
     rtc, _ = shared
-    t = PhaseTimings()
     pre_g = (
         None if pre is None else eval_kleene_free(paper_graph, parse(pre))
     )
     post_ast = EPSILON if post is None else parse(post)
-    got = eval_batch_unit_rtc(paper_graph, pre_g, rtc, kind, post_ast, t)
+    got = eval_batch_unit_rtc(paper_graph, pre_g, rtc, kind, post_ast)
     sql = batch_unit_sql(
         [pre] if pre else [],
         ["b", "c"],
@@ -106,23 +104,31 @@ def test_vs_duckdb_oracle(paper_graph, shared, pre, kind, post):
     )
 
 
-def test_timings_populated(paper_graph, shared):
-    """RTC's single action, eqs (7)–(10) with the Post join, is timed
-    under Pre⋈R+; its Remainder holds no Post join."""
-    rtc, _ = shared
-    t = PhaseTimings()
-    pre_g = eval_kleene_free(paper_graph, parse("d"))
-    eval_batch_unit_rtc(paper_graph, pre_g, rtc, "+", parse("c"), t)
-    assert t.pre_join > 0
-    assert t.remainder == 0
-    assert t.shared_data == 0  # batch unit itself never computes shared data
+def test_timings_populated(paper_graph):
+    """Both methods time the whole batch unit, Post join included, as
+    Pre⋈R+; on a cache hit no shared data is built."""
+    for cls in (RTCSharingEvaluator, FullSharingEvaluator):
+        ev = cls(paper_graph)
+        ev.evaluate("d.(b.c)+.c")
+        t = PhaseTimings()
+        ev.evaluate("e.d.(b.c)+.c", timings=t)
+        assert t.pre_join > 0, cls.__name__
+        assert t.shared_data == 0, cls.__name__
 
 
-def test_rtc_batch_unit_materializes_once(paper_graph, shared, monkeypatch):
-    """Deterministic counter: the RTC batch unit is one lazy plan with a
-    single materialization — no ResEq9, no separate Post_G."""
-    rtc, _ = shared
+@pytest.mark.parametrize("unit", ["rtc", "full"])
+@pytest.mark.parametrize(
+    "kind,post", [("+", "c"), ("*", "c.e"), ("+", None)]
+)
+def test_batch_unit_materializes_once(
+    paper_graph, shared, monkeypatch, unit, kind, post
+):
+    """Deterministic counter: each batch unit is one lazy plan with a
+    single materialization — no ResEq9, no separate Post_G, no
+    intermediate Pre_G ⋈ R+_G."""
+    rtc, r_plus = shared
     pre_g = eval_kleene_free(paper_graph, parse("d"))
+    post_ast = EPSILON if post is None else parse(post)
     calls = []
     real = batch_unit_module.materialize
     monkeypatch.setattr(
@@ -130,17 +136,17 @@ def test_rtc_batch_unit_materializes_once(paper_graph, shared, monkeypatch):
         "materialize",
         lambda df: calls.append(1) or real(df),
     )
-    eval_batch_unit_rtc(
-        paper_graph, pre_g, rtc, "+", parse("c"), PhaseTimings()
-    )
+    if unit == "rtc":
+        eval_batch_unit_rtc(paper_graph, pre_g, rtc, kind, post_ast)
+    else:
+        eval_batch_unit_full(paper_graph, pre_g, r_plus, kind, post_ast)
     assert len(calls) == 1
 
 
 def test_result_distinct(paper_graph, shared):
     rtc, _ = shared
-    t = PhaseTimings()
     pre_g = eval_kleene_free(paper_graph, parse("d"))
-    out = eval_batch_unit_rtc(paper_graph, pre_g, rtc, "+", parse("c"), t)
+    out = eval_batch_unit_rtc(paper_graph, pre_g, rtc, "+", parse("c"))
     assert out.count() == out.distinct().count()
 
 

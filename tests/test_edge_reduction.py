@@ -8,7 +8,12 @@ from tests.helpers import (
     edges_pdf,
     random_labeled_edges,
 )
-from repro.core.edge_reduction import eval_kleene_free, eval_rpq_automaton
+from repro.core.edge_reduction import (
+    eval_kleene_free,
+    eval_rpq_automaton,
+    extend_pairs,
+)
+from repro.graph.model import identity_pairs
 from repro.oracle import assert_equivalent
 from repro.pyref import eval_rpq_python
 from repro.rpq.parser import parse
@@ -47,13 +52,24 @@ class TestKleeneFree:
 
     def test_seeded_restriction(self, spark, paper_graph):
         seeds = spark.createDataFrame(pd.DataFrame({"v": [2]}), "v long")
-        got = rows(eval_kleene_free(paper_graph, parse("b.c"), seeds=seeds))
+        got = rows(
+            extend_pairs(paper_graph, identity_pairs(seeds), parse("b.c"))
+        )
         assert got == {(2, 4), (2, 6)}
 
     def test_seeded_epsilon(self, spark, paper_graph):
         seeds = spark.createDataFrame(pd.DataFrame({"v": [3, 7]}), "v long")
-        got = rows(eval_kleene_free(paper_graph, parse("eps"), seeds=seeds))
+        got = rows(
+            extend_pairs(paper_graph, identity_pairs(seeds), parse("eps"))
+        )
         assert got == {(3, 3), (7, 7)}
+
+    def test_extend_pairs_union_vs_pyref(self, paper_graph):
+        """Each label sequence of ``d|e`` extends every pair (both
+        branches are non-empty here); the union is ``((c|e).(d|e))_G``."""
+        pairs = eval_kleene_free(paper_graph, parse("c|e"))
+        got = rows(extend_pairs(paper_graph, pairs, parse("d|e")))
+        assert got == eval_rpq_python(PAPER_EDGES, parse("(c|e).(d|e)"))
 
     def test_union_of_sequences(self, paper_graph):
         got = rows(eval_kleene_free(paper_graph, parse("d|e")))

@@ -86,7 +86,7 @@ def test_closure_body_with_no_edges(make_graph, text):
     ev = RTCSharingEvaluator(g)
     assert rows(ev.evaluate(text)) == want
     assert rows(FullSharingEvaluator(g).evaluate(text)) == want
-    (rtc,) = ev._rtc_cache.values()
+    (rtc,) = ev._shared.values()
     assert rtc.scc.schema.simpleString() == "struct<v:bigint,s:bigint>"
     assert (
         rtc.rtc.schema.simpleString() == "struct<start_s:bigint,end_s:bigint>"
@@ -128,24 +128,24 @@ class TestExample7Recursion:
     def test_rtc_cache_reused_across_queries(self, paper_graph):
         ev = RTCSharingEvaluator(paper_graph)
         ev.evaluate("d.(b.c)+.c")
-        assert set(ev._rtc_cache) == {"(b.c)"}
-        first = ev._rtc_cache["(b.c)"]
+        assert set(ev._shared) == {"(b.c)"}
+        first = ev._shared["(b.c)"]
         ev.evaluate("(b.c)+")  # same R: must reuse, not recompute
-        assert ev._rtc_cache["(b.c)"] is first
+        assert ev._shared["(b.c)"] is first
         ev.evaluate("(b.c)*.c")  # star over same R reuses the + RTC too
-        assert ev._rtc_cache["(b.c)"] is first
-        assert len(ev._rtc_cache) == 1
+        assert ev._shared["(b.c)"] is first
+        assert len(ev._shared) == 1
 
     def test_nested_pre_closure_populates_cache(self, paper_graph):
         ev = RTCSharingEvaluator(paper_graph)
         ev.evaluate("(b.c)*.d+.c")  # Pre=(b.c)*, R=d
-        assert set(ev._rtc_cache) == {"(b.c)", "d"}
+        assert set(ev._shared) == {"(b.c)", "d"}
 
     def test_full_sharing_caches_r_plus(self, paper_graph):
         ev = FullSharingEvaluator(paper_graph)
         ev.evaluate("d.(b.c)+.c")
         ev.evaluate("(b.c)+.c")
-        assert set(ev._plus_cache) == {"(b.c)"}
+        assert set(ev._shared) == {"(b.c)"}
 
     def test_no_sharing_never_caches(self, paper_graph):
         ev = NoSharingEvaluator(paper_graph)

@@ -10,7 +10,6 @@ import repro.core.rtc as rtc_module
 from repro.core.batch_unit import eval_batch_unit_rtc
 from repro.core.edge_reduction import eval_kleene_free
 from repro.core.rtc import compute_rtc
-from repro.core.timing import PhaseTimings
 from repro.pyref import eval_rpq_python, transitive_closure_python
 from repro.rpq.ast import EPSILON
 from repro.rpq.parser import parse
@@ -219,9 +218,7 @@ def _batch_units(graph, rtc):
     ]:
         pre_g = None if pre is None else eval_kleene_free(graph, parse(pre))
         post_ast = EPSILON if post is None else parse(post)
-        out = eval_batch_unit_rtc(
-            graph, pre_g, rtc, kind, post_ast, PhaseTimings()
-        )
+        out = eval_batch_unit_rtc(graph, pre_g, rtc, kind, post_ast)
         answers.append({(r.start_v, r.end_v) for r in out.collect()})
     return answers
 
