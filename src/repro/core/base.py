@@ -8,6 +8,10 @@ up — or build from ``R_G`` and cache by ``R`` — the structure shared
 across RPQs, evaluate the batch unit against it, and union clause
 results. They differ only in that structure and the join that reads
 it: subclasses implement ``_build_shared`` and ``_eval_unit``.
+
+Everything but a shared structure's ``R_G`` and build is a lazy plan:
+``Pre``, closure-free clauses, batch units and the union form one plan
+per RPQ, which ``evaluate`` computes with one Spark action.
 """
 from __future__ import annotations
 
@@ -37,9 +41,18 @@ class MultiRPQEvaluator:
     def evaluate(
         self, query: str | Regex, timings: PhaseTimings | None = None
     ) -> DataFrame:
-        """Evaluate one RPQ; returns distinct ``(start_v, end_v)`` pairs."""
+        """Evaluate one RPQ; returns distinct ``(start_v, end_v)`` pairs,
+        computed by one Spark action over the query's whole plan."""
         ast = parse(query) if isinstance(query, str) else query
         t = timings if timings is not None else PhaseTimings()
+        plan = self._plan(ast, t)
+        with t.phase("pre_join" if ast.has_closure() else "remainder"):
+            return materialize(plan)
+
+    def _plan(self, ast: Regex, t: PhaseTimings) -> DataFrame:
+        """The lazy plan of ``ast``: one per DNF clause (a nested ``Pre``
+        included), unioned and deduplicated once. Only the ``R_G`` of a
+        shared structure not yet built runs here."""
         parts: list[DataFrame] = []
         for clause in to_dnf(ast):
             bu = decompose_clause(clause)
@@ -51,7 +64,7 @@ class MultiRPQEvaluator:
                 pre_g = (
                     None
                     if isinstance(bu.pre, Epsilon)
-                    else self.evaluate(bu.pre, timings=t)
+                    else self._plan(bu.pre, t)
                 )
                 shared = self._shared_for(bu.r, t)
                 with t.phase("pre_join"):
@@ -60,9 +73,7 @@ class MultiRPQEvaluator:
                     )
         if len(parts) == 1:
             return parts[0]
-        with t.phase("remainder"):
-            out = union_all(parts, lambda: empty_pairs(self.graph.spark))
-            return materialize(out.distinct())
+        return union_all(parts, lambda: empty_pairs(self.graph.spark)).distinct()
 
     def _shared_for(self, r: Regex, t: PhaseTimings) -> Any:
         key = r.canon()

@@ -6,9 +6,10 @@ unlabeled edge". Two evaluators are provided:
 
 - ``eval_kleene_free`` — the relational path: DNF the (closure-free)
   expression into label sequences and evaluate each as a chain of joins
-  over the per-label edge relations (Lemma 4 applied repeatedly). This
-  is what ``Pre_G``/``R_G`` and closure-free clauses use in all three
-  methods. There is no seeded evaluation: ``extend_pairs`` is the same
+  over the per-label edge relations (Lemma 4 applied repeatedly), as a
+  lazy plan that the caller materializes. This is what
+  ``Pre_G``/``R_G`` and closure-free clauses use in all three methods.
+  There is no seeded evaluation: ``extend_pairs`` is the same
   label-join chain as a lazy plan over given pairs, and every batch
   unit evaluates Post through it — RTCSharing restricted to the
   vertices of ``G_R`` and keyed by SCC (EvalRestrictedRPQ in
@@ -28,6 +29,7 @@ from pyspark.sql import functions as F
 from repro.graph.closure import semi_naive
 from repro.graph.iterate import materialize
 from repro.graph.model import (
+    PAIR_COLS,
     LabeledGraph,
     empty_pairs,
     identity_pairs,
@@ -39,23 +41,21 @@ from repro.rpq.dnf import label_sequences
 
 
 def eval_kleene_free(graph: LabeledGraph, regex: Regex) -> DataFrame:
-    """Evaluate a closure-free RPQ as label-join chains.
+    """Evaluate a closure-free RPQ as label-join chains, as a lazy plan.
 
-    Returns distinct ``(start_v, end_v)`` pairs. For the ε expression
-    the result is the identity relation over V.
+    The plan yields distinct ``(start_v, end_v)`` pairs, hash-partitioned
+    by ``start_v`` when ``regex`` has one label sequence. For the ε
+    expression it is the identity relation over V.
     """
-    spark = graph.spark
-    results: list[DataFrame] = []
-    for seq in label_sequences(regex):
-        if not seq:
-            results.append(identity_pairs(graph.vertices))
-            continue
-        cur = graph.edges_for_label(seq[0]).select(
-            F.col("src").alias("start_v"), F.col("dst").alias("end_v")
-        )
-        results.append(_follow(graph, cur.distinct(), seq[1:]))
-    out = union_all(results, lambda: empty_pairs(spark)).distinct()
-    return materialize(out)
+    parts = [
+        _follow(graph, _dedup(graph.edges_for_label(seq[0])), seq[1:])
+        if seq
+        else identity_pairs(graph.vertices)
+        for seq in label_sequences(regex)
+    ]
+    if len(parts) == 1:
+        return parts[0]
+    return union_all(parts, lambda: empty_pairs(graph.spark)).distinct()
 
 
 def extend_pairs(
@@ -82,15 +82,17 @@ def _follow(
     """Extend ``(start_v, end_v)`` pairs along ``labels``, one label
     join and one ``distinct`` per label."""
     for label in labels:
-        nxt = graph.edges_for_label(label).select(
-            F.col("src").alias("end_v"), F.col("dst").alias("next_v")
-        )
-        pairs = (
-            pairs.join(nxt, "end_v")
-            .select("start_v", F.col("next_v").alias("end_v"))
-            .distinct()
-        )
+        nxt = graph.edges_for_label(label).toDF("end_v", "next_v")
+        pairs = _dedup(pairs.join(nxt, "end_v").select("start_v", "next_v"))
     return pairs
+
+
+def _dedup(pairs: DataFrame) -> DataFrame:
+    """Distinct ``(start_v, end_v)`` from two columns, hash-partitioned
+    by ``start_v``. Every operator that keeps ``start_v`` and is not a
+    shuffle join — the broadcast joins and ``distinct``s of eqs (7)–(8),
+    a join keyed on ``start_v`` — then needs no exchange of its own."""
+    return pairs.toDF(*PAIR_COLS).repartition("start_v").distinct()
 
 
 def eval_rpq_automaton(

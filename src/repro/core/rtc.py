@@ -28,7 +28,8 @@ from pyspark.sql import functions as F
 
 from repro.graph.closure import transitive_closure
 from repro.graph.condense import condense
-from repro.graph.iterate import materialize
+# Not called here: kept as a name rpqbench/spans.py wraps.
+from repro.graph.iterate import materialize  # noqa: F401
 from repro.graph.scc import strongly_connected_components, tarjan_scc
 
 # Driver bytes per row of R_G plus RTC on the driver path, rounded up
@@ -129,14 +130,16 @@ def _close_on_driver(
 
 
 def _frame(spark: SparkSession, **cols: list[int]) -> DataFrame:
-    """A materialized DataFrame of ``long`` columns from driver lists,
-    hinted for broadcast: it fits the driver, so it fits every executor.
-    Explicit hints apply even with ``autoBroadcastJoinThreshold=-1``."""
+    """A DataFrame of ``long`` columns from driver lists, hinted for
+    broadcast: it fits the driver, so it fits every executor. Explicit
+    hints apply even with ``autoBroadcastJoinThreshold=-1``. It is not
+    checkpointed: under Arrow's local-relation threshold (48 MB by
+    default) Spark keeps the rows in the plan, which costs no job."""
     pdf = pd.DataFrame(
         {c: np.asarray(v, dtype=np.int64) for c, v in cols.items()}
     )
     schema = ", ".join(f"{c} long" for c in cols)
-    return F.broadcast(materialize(spark.createDataFrame(pdf, schema)))
+    return F.broadcast(spark.createDataFrame(pdf, schema))
 
 
 def _compute_rtc_distributed(r_g: DataFrame) -> RTC:

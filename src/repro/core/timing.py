@@ -6,12 +6,14 @@ The paper splits each method's query response time into three parts:
   (``TC(Ḡ_R)`` + the ``G_R → Ḡ_R`` reduction for RTCSharing;
   ``TC(G_R)`` for FullSharing). The ``R_G`` computation is excluded
   (both methods do it identically) and lands in ``remainder``.
-- ``pre_join`` — the ``Pre_G ⋈ R+_G`` phase: the batch unit's single
-  action, Post join included, for every method (equations (7)–(10)
-  for RTCSharing; ``Pre_G ⋈ R+_G`` extended through Post for
-  FullSharing/NoSharing). ``MultiRPQEvaluator.evaluate`` times it.
-- ``remainder`` — everything else: ``Pre_G``, ``R_G``, closure-free
-  clauses and result unions.
+- ``pre_join`` — the ``Pre_G ⋈ R+_G`` phase: the one Spark action of
+  an RPQ with a closure, so ``Pre_G``, the Post join and the union of
+  its clauses run inside it, for every method (equations (7)–(10) for
+  RTCSharing; ``Pre_G ⋈ R+_G`` extended through Post for
+  FullSharing/NoSharing), plus the building of its batch units'
+  plans. ``MultiRPQEvaluator.evaluate`` times it.
+- ``remainder`` — ``R_G`` (evaluated when a shared structure is built)
+  and closure-free queries: their action and their plan building.
 
 Phases only record at the outermost level (``_active`` guard), so a
 recursive evaluator call wrapped in a phase cannot double-count its

@@ -84,7 +84,8 @@ class LabeledGraph:
 
     def edges_for_label(self, label: str) -> DataFrame:
         """Unlabeled edge relation of one label, as ``(src, dst)``."""
-        return self.edges.filter(F.col("label") == label).select("src", "dst")
+        e = self.edges
+        return e.where(e["label"] == label).select("src", "dst")
 
     def stats(self) -> dict[str, float]:
         """|V|, |E|, |Σ| and the paper's vertex degree per label."""
@@ -108,9 +109,7 @@ class LabeledGraph:
 
 def identity_pairs(vertices: DataFrame) -> DataFrame:
     """The identity relation {(v, v)} over a vertex DataFrame ``(v)``."""
-    return vertices.select(
-        F.col("v").alias("start_v"), F.col("v").alias("end_v")
-    )
+    return vertices.select("v", "v").toDF(*PAIR_COLS)
 
 
 def empty_pairs(spark: SparkSession) -> DataFrame:

@@ -31,12 +31,23 @@ from repro.rpq.ast import (
 # tuple is the ε clause.
 Clause = tuple[Regex, ...]
 
+# The most clauses a DNF may reach while it is built. The clauses of
+# an RPQ become branches of one Spark plan, and (a|b).(a|b)… doubles
+# them per factor. The largest DNF among the queries of the tests and
+# of the benchmark workloads has 4 clauses.
+MAX_DNF_CLAUSES = 256
+
+
+class DNFTooLarge(ValueError):
+    """The DNF of an expression would exceed ``MAX_DNF_CLAUSES``."""
+
 
 def to_dnf(node: Regex) -> list[Clause]:
     """Convert a regex to DNF clauses, outermost closures kept as literals.
 
     Clauses are deduplicated by canonical form, preserving first-seen
-    order (so evaluation order is deterministic).
+    order (so evaluation order is deterministic). Raises ``DNFTooLarge``
+    as soon as the expansion would pass ``MAX_DNF_CLAUSES`` clauses.
     """
     clauses = _dnf(node)
     seen: set[str] = set()
@@ -58,13 +69,23 @@ def _dnf(node: Regex) -> list[Clause]:
         out: list[Clause] = []
         for p in node.parts:
             out.extend(_dnf(p))
+            _check_size(len(out), node)
         return out
     if isinstance(node, Concat):
         acc: list[Clause] = [()]
         for p in node.parts:
-            acc = [left + right for left in acc for right in _dnf(p)]
+            rights = _dnf(p)
+            _check_size(len(acc) * len(rights), node)
+            acc = [left + right for left in acc for right in rights]
         return acc
     raise TypeError(f"unknown regex node {node!r}")
+
+
+def _check_size(n_clauses: int, node: Regex) -> None:
+    if n_clauses > MAX_DNF_CLAUSES:
+        raise DNFTooLarge(
+            f"{node.canon()}: DNF passes {MAX_DNF_CLAUSES} clauses"
+        )
 
 
 @dataclass(frozen=True)
@@ -116,7 +137,8 @@ def label_sequences(node: Regex) -> list[tuple[str, ...]]:
     """All label sequences of a closure-free regex (its finite language).
 
     Used by the join-chain evaluator for ``Pre_G``/``Post_G``/``R_G``
-    when the expression has no closure. Raises if a closure is present.
+    when the expression has no closure. Raises if a closure is present,
+    and ``DNFTooLarge`` as ``to_dnf`` does.
     """
     if node.has_closure():
         raise ValueError(f"{node.canon()} contains a Kleene closure")

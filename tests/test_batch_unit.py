@@ -4,16 +4,22 @@ Every combination of {Pre present/ε} × {+,*} × {Post present/ε} is
 checked: the two pipelines must agree with each other, with the pure-
 Python reference, and (spot checks) with the DuckDB recursive oracle.
 """
+import re
+
 import pytest
 from pyspark.sql import functions as F
 
+import repro.core.base as base_module
 import repro.core.batch_unit as batch_unit_module
+import repro.core.edge_reduction as edge_reduction_module
+import repro.core.rtc as rtc_module
 from repro.core import FullSharingEvaluator, PhaseTimings, RTCSharingEvaluator
 from repro.core.batch_unit import eval_batch_unit_full, eval_batch_unit_rtc
 from repro.core.edge_reduction import eval_kleene_free
 from repro.core.rtc import compute_rtc
 from repro.graph.closure import transitive_closure
 from repro.graph.iterate import materialize
+from repro.graph.model import LabeledGraph
 from repro.oracle import assert_equivalent
 from repro.pyref import eval_rpq_python
 from repro.rpq.ast import EPSILON
@@ -116,31 +122,73 @@ def test_timings_populated(paper_graph):
         assert t.shared_data == 0, cls.__name__
 
 
+@pytest.fixture
+def materialized(monkeypatch):
+    """Every frame the evaluators' modules materialize, in order."""
+    frames = []
+    for mod in (base_module, batch_unit_module, edge_reduction_module, rtc_module):
+        real = mod.materialize
+        monkeypatch.setattr(
+            mod, "materialize", lambda df, real=real: frames.append(df) or real(df)
+        )
+    return frames
+
+
 @pytest.mark.parametrize("unit", ["rtc", "full"])
 @pytest.mark.parametrize(
     "kind,post", [("+", "c"), ("*", "c.e"), ("+", None)]
 )
 def test_batch_unit_materializes_once(
-    paper_graph, shared, monkeypatch, unit, kind, post
+    paper_graph, materialized, unit, kind, post
 ):
-    """Deterministic counter: each batch unit is one lazy plan with a
-    single materialization — no ResEq9, no separate Post_G, no
-    intermediate Pre_G ⋈ R+_G."""
-    rtc, r_plus = shared
-    pre_g = eval_kleene_free(paper_graph, parse("d"))
-    post_ast = EPSILON if post is None else parse(post)
-    calls = []
-    real = batch_unit_module.materialize
-    monkeypatch.setattr(
-        batch_unit_module,
-        "materialize",
-        lambda df: calls.append(1) or real(df),
-    )
-    if unit == "rtc":
-        eval_batch_unit_rtc(paper_graph, pre_g, rtc, kind, post_ast)
-    else:
-        eval_batch_unit_full(paper_graph, pre_g, r_plus, kind, post_ast)
-    assert len(calls) == 1
+    """Deterministic counter: an RPQ — Pre_G, the batch unit and its Post
+    — is one lazy plan with a single materialization once the shared
+    structure of R is cached; the first RPQ over R adds R_G's."""
+    cls = RTCSharingEvaluator if unit == "rtc" else FullSharingEvaluator
+    ev = cls(paper_graph)
+    query = full_query_text("d", kind, post)
+    want = eval_rpq_python(PAPER_EDGES, parse(query))
+    assert rows(ev.evaluate(query)) == want
+    assert len(materialized) == 2
+    materialized.clear()
+    assert rows(ev.evaluate(query)) == want
+    assert len(materialized) == 1
+
+
+def test_reuse_rpq_plan_shape_and_jobs(spark, paper_graph, materialized):
+    """Deterministic counters of the reuse RPQ d.(b.c)+.e once the RTC of
+    b.c is cached (8 shuffle partitions): its one Spark action runs 8
+    jobs over 4 hash exchanges, and Pre_G arrives partitioned by
+    start_v, so the distincts of eqs (7) and (8) need no exchange. The
+    edges are checkpointed, as the benchmark's are, so that their
+    deduplication is not part of the plan."""
+    graph = LabeledGraph(materialize(paper_graph.edges))
+    ev = RTCSharingEvaluator(graph)
+    ev.evaluate("d.(b.c)+.c")
+    sc = spark.sparkContext
+    group = "test-reuse-rpq-jobs"
+    sc.setJobGroup(group, "reuse RPQ on the paper graph")
+    try:
+        got = ev.evaluate("d.(b.c)+.e")
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    sc._jsc.sc().listenerBus().waitUntilEmpty()
+    n_jobs = len(sc.statusTracker().getJobIdsForGroup(group))
+    assert rows(got) == eval_rpq_python(PAPER_EDGES, parse("d.(b.c)+.e"))
+    # The answer's plan. Adaptive execution prints the final plan
+    # before the initial one.
+    plan = materialized[-1]._jdf.queryExecution().executedPlan().toString()
+    final = plan.split("== Initial Plan ==")[0].splitlines()
+    # Both aggregates of eq (7) and both of eq (8) group by (start_v, s).
+    eq78 = [
+        i
+        for i, line in enumerate(final)
+        if re.search(r"HashAggregate\(keys=\[start_v#\d+L, s#\d+L\]", line)
+    ]
+    assert len(eq78) == 4
+    assert not any("Exchange" in line for line in final[eq78[0] : eq78[-1]])
+    assert sum("Exchange hashpartitioning" in line for line in final) == 4
+    assert n_jobs == 8
 
 
 def test_result_distinct(paper_graph, shared):

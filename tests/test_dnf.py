@@ -6,6 +6,8 @@ import pytest
 from repro.rpq.ast import Epsilon, Label, Plus, Star
 from repro.rpq.automaton import build_nfa
 from repro.rpq.dnf import (
+    MAX_DNF_CLAUSES,
+    DNFTooLarge,
     clause_to_regex,
     decompose_clause,
     label_sequences,
@@ -117,6 +119,32 @@ class TestLabelSequences:
     def test_rejects_closure(self):
         with pytest.raises(ValueError):
             label_sequences(parse("a+"))
+
+
+class TestDNFCap:
+    """(a|b).(a|b)… doubles the clauses per factor: past the cap both
+    entry points raise a typed error instead of building them."""
+
+    @staticmethod
+    def unions(n: int) -> str:
+        return ".".join(["(a|b)"] * n)
+
+    def test_twelve_unions_raise(self):
+        text = self.unions(12)
+        with pytest.raises(DNFTooLarge, match=str(MAX_DNF_CLAUSES)):
+            to_dnf(parse(text))
+        with pytest.raises(DNFTooLarge):
+            label_sequences(parse(text))
+        assert issubclass(DNFTooLarge, ValueError)
+
+    def test_twelve_unions_raise_beside_a_closure(self):
+        with pytest.raises(DNFTooLarge):
+            to_dnf(parse(self.unions(12) + ".c+"))
+
+    def test_cap_itself_passes(self):
+        n = MAX_DNF_CLAUSES.bit_length() - 1
+        assert 2**n == MAX_DNF_CLAUSES
+        assert len(label_sequences(parse(self.unions(n)))) == MAX_DNF_CLAUSES
 
 
 class TestClauseToRegex:

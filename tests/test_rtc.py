@@ -5,11 +5,11 @@ import random
 import pandas as pd
 import pytest
 
-import repro.core.batch_unit as batch_unit_module
 import repro.core.rtc as rtc_module
 from repro.core.batch_unit import eval_batch_unit_rtc
 from repro.core.edge_reduction import eval_kleene_free
 from repro.core.rtc import compute_rtc
+from repro.graph.iterate import materialize
 from repro.pyref import eval_rpq_python, transitive_closure_python
 from repro.rpq.ast import EPSILON
 from repro.rpq.parser import parse
@@ -190,9 +190,10 @@ def test_driver_path_stops_when_rtc_passes_bound(
     assert reconstruct(rtc) == transitive_closure_python(edges)
 
 
-def test_example5_compute_rtc_runs_at_most_three_jobs(spark, paper_graph):
-    """Deterministic counter: read R_G, write SCC, write RTC."""
-    r_g = eval_kleene_free(paper_graph, parse("b.c"))
+def test_example5_compute_rtc_runs_one_job(spark, paper_graph):
+    """Deterministic counter: reading R_G is the only job; the SCC and
+    RTC frames stay in the driver-built plan."""
+    r_g = materialize(eval_kleene_free(paper_graph, parse("b.c")))
     sc = spark.sparkContext
     group = "test-compute-rtc-jobs"
     sc.setJobGroup(group, "compute_rtc on Example 5")
@@ -202,14 +203,15 @@ def test_example5_compute_rtc_runs_at_most_three_jobs(spark, paper_graph):
         sc.setLocalProperty("spark.jobGroup.id", None)
     sc._jsc.sc().listenerBus().waitUntilEmpty()
     n_jobs = len(sc.statusTracker().getJobIdsForGroup(group))
-    assert 1 <= n_jobs <= 3
+    assert n_jobs == 1
 
 
 def _batch_units(graph, rtc):
-    """Answers of a few RTC batch units over R = b.c, one per (Pre, kind,
-    Post) shape, each non-empty (an empty one may execute as an empty
-    relation, with no join left in its plan)."""
-    answers = []
+    """Answers and final executed plans of a few RTC batch units over
+    R = b.c, one per (Pre, kind, Post) shape, each non-empty (an empty
+    one may execute as an empty relation, with no join left in its
+    plan)."""
+    answers, plans = [], []
     for pre, kind, post in [
         ("d", "+", "e"),
         (None, "+", None),
@@ -220,7 +222,10 @@ def _batch_units(graph, rtc):
         post_ast = EPSILON if post is None else parse(post)
         out = eval_batch_unit_rtc(graph, pre_g, rtc, kind, post_ast)
         answers.append({(r.start_v, r.end_v) for r in out.collect()})
-    return answers
+        plan = out._jdf.queryExecution().executedPlan().toString()
+        # Adaptive execution prints the final plan before the initial one.
+        plans.append(plan.split("== Initial Plan ==")[0])
+    return answers, plans
 
 
 def test_fallback_rtc_batch_units_match_and_are_not_broadcast(
@@ -234,19 +239,9 @@ def test_fallback_rtc_batch_units_match_and_are_not_broadcast(
     fallback = compute_rtc(r_g)
     assert fallback_calls == [1]
 
-    plans = []
-    real = batch_unit_module.materialize
-
-    def spy(df):
-        out = real(df)
-        plan = df._jdf.queryExecution().executedPlan().toString()
-        # Adaptive execution prints the final plan before the initial one.
-        plans.append(plan.split("== Initial Plan ==")[0])
-        return out
-
-    monkeypatch.setattr(batch_unit_module, "materialize", spy)
-    driver_answers = _batch_units(paper_graph, driver)
-    fallback_answers = _batch_units(paper_graph, fallback)
+    driver_answers, driver_plans = _batch_units(paper_graph, driver)
+    fallback_answers, fallback_plans = _batch_units(paper_graph, fallback)
+    plans = driver_plans + fallback_plans
     assert all(driver_answers)
     assert fallback_answers == driver_answers
     assert len(plans) == 8
