@@ -19,7 +19,7 @@ workload sample, as in the paper.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from pyspark.sql import SparkSession
 
@@ -28,7 +28,7 @@ from repro.core.fullsharing import FullSharingEvaluator
 from repro.core.nosharing import NoSharingEvaluator
 from repro.core.rtcsharing import RTCSharingEvaluator
 from repro.core.timing import PhaseTimings
-from repro.graph.generators import DATASETS, DatasetSpec
+from repro.graph.generators import DatasetSpec
 from repro.graph.model import LabeledGraph
 from repro.workload import RPQSet, make_rpq_sets
 
@@ -107,7 +107,6 @@ def weighted_workload(
     sets_per_length: int,
     max_rpqs_per_set: int,
     r_lengths: tuple[int, ...] = (1, 2, 3),
-    seed: int = 7,
 ) -> list[RPQSet]:
     """Workload whose labels are sampled weighted by edge frequency.
 
@@ -134,124 +133,57 @@ def weighted_workload(
         sets_per_length=sets_per_length,
         max_rpqs_per_set=max_rpqs_per_set,
         r_lengths=r_lengths,
-        seed=seed,
     )
 
 
 @dataclass
-class DatasetResult:
-    """Experiment-1 result for one dataset: averaged per-method runs."""
+class SweepPoint:
+    """One (dataset, #RPQs) point of a sweep: per-method runs averaged
+    over the workload's sets. #RPQs is each run's ``n_rpqs``."""
 
-    spec: DatasetSpec
+    dataset: str
     stats: dict[str, float]
-    runs: dict[str, MethodRun] = field(default_factory=dict)
+    runs: dict[str, MethodRun]
 
 
-def run_experiment1(
+def sweep(
     spark: SparkSession,
-    *,
-    dataset_names: list[str] | None = None,
-    n_rpqs: int = 4,
-    sets_per_length: int = 1,
-    methods: tuple[str, ...] = ("Full", "RTC", "No"),
-    seed: int = 7,
-) -> list[DatasetResult]:
-    """Tables V & VI: phase/response times across datasets (4 RPQs/set)."""
-    names = dataset_names or list(DATASETS)
-    out: list[DatasetResult] = []
-    for name in names:
-        spec = DATASETS[name]
-        graph = spec.build(spark)
-        graph.edges = graph.edges.localCheckpoint(eager=True)
-        sets = weighted_workload(
-            graph,
-            sets_per_length=sets_per_length,
-            max_rpqs_per_set=n_rpqs,
-            seed=seed,
-        )
-        res = DatasetResult(spec=spec, stats=graph.stats())
-        # Untimed warmup: exercises codegen/JIT paths once per dataset
-        # so the first timed method is not penalized for JVM warmup.
-        run_method(graph, "RTC", sets[0].subset(1))
-        run_method(graph, "Full", sets[0].subset(1))
-        for method in methods:
-            runs = [
-                run_method(graph, method, s.subset(n_rpqs)) for s in sets
-            ]
-            res.runs[method] = _avg(runs)
-        out.append(res)
-    return out
-
-
-@dataclass
-class SizeResult:
-    """Experiment-2 result for one #RPQs value."""
-
-    n_rpqs: int
-    runs: dict[str, MethodRun] = field(default_factory=dict)
-
-
-def run_experiment2(
-    spark: SparkSession,
-    *,
-    dataset_name: str = "advogato_lite",
-    rpq_counts: tuple[int, ...] = (1, 2, 4, 6, 8, 10),
-    sets_per_length: int = 1,
-    r_lengths: tuple[int, ...] = (2,),
-    methods: tuple[str, ...] = ("Full", "RTC", "No"),
-    seed: int = 7,
-) -> list[SizeResult]:
-    """Tables VII & VIII: phase/response times as #RPQs varies.
-
-    Defaults to the median R length (2) only: the sweep multiplies the
-    per-set cost by sum(rpq_counts) = 31, and NoSharing pays a full
-    closure per query, so the full 3-length sweep is reserved for
-    ``--sets``-style overrides (documented in EXPERIMENTS.md).
-    """
-    spec = DATASETS[dataset_name]
-    graph = spec.build(spark)
-    graph.edges = graph.edges.localCheckpoint(eager=True)
+    spec: DatasetSpec,
+    rpq_counts: tuple[int, ...],
+    r_lengths: tuple[int, ...],
+    sets_per_length: int,
+) -> list[SweepPoint]:
+    """Tables IV–VIII: every method on ``spec`` at each #RPQs in
+    ``rpq_counts``, over one nested workload (the k-RPQ set is the first
+    k queries of each set, as in the paper)."""
+    built = spec.build(spark)
+    graph = LabeledGraph(edges=built.edges.localCheckpoint(eager=True))
     sets = weighted_workload(
         graph,
         sets_per_length=sets_per_length,
         max_rpqs_per_set=max(rpq_counts),
         r_lengths=r_lengths,
-        seed=seed,
     )
-    # Warm the heavier multi-query codegen paths too: the n=1 and n=2
-    # sweep points run first and are otherwise hit by JIT compilation.
-    run_method(graph, "RTC", sets[0].subset(2))
-    run_method(graph, "Full", sets[0].subset(2))
-    run_method(graph, "No", sets[0].subset(1))
-    out: list[SizeResult] = []
-    for n in rpq_counts:
-        res = SizeResult(n_rpqs=n)
-        for method in methods:
-            runs = [run_method(graph, method, s.subset(n)) for s in sets]
-            res.runs[method] = _avg(runs)
-        out.append(res)
-    return out
-
-
-def dataset_stats(spark: SparkSession) -> list[dict[str, object]]:
-    """Table IV: statistics of the built datasets vs the paper's."""
-    rows = []
-    for name, spec in DATASETS.items():
-        stats = spec.build(spark).stats()
-        rows.append(
-            {
-                "dataset": name,
-                "n_vertices": int(stats["n_vertices"]),
-                "n_edges": int(stats["n_edges"]),
-                "n_labels": int(stats["n_labels"]),
-                "degree_per_label": round(stats["degree_per_label"], 2),
-                "paper_n_vertices": spec.paper_n_vertices,
-                "paper_n_edges": spec.paper_n_edges,
-                "paper_n_labels": spec.paper_n_labels,
-                "paper_degree": spec.paper_degree,
-            }
+    stats = graph.stats()
+    # Untimed warm-up on two RPQs of the first set: a cold RPQ (shared
+    # structure built) and a reuse RPQ (cache hit) compile both code
+    # paths of each sharing method, so JIT and codegen land in no timed
+    # point. No runs Full's cold path on every RPQ, so Full warms it.
+    for method in ("RTC", "Full"):
+        run_method(graph, method, sets[0].queries[:2])
+    return [
+        SweepPoint(
+            dataset=spec.name,
+            stats=stats,
+            runs={
+                method: _avg(
+                    [run_method(graph, method, s.subset(n)) for s in sets]
+                )
+                for method in METHODS
+            },
         )
-    return rows
+        for n in rpq_counts
+    ]
 
 
 def format_table(rows: list[dict[str, object]], title: str) -> str:

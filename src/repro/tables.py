@@ -1,16 +1,15 @@
-"""Table-row builders and the sweeps' JSON form for the paper tables.
+"""Table-row builders for the paper's Tables IV–VIII.
 
-Tables V and VI come from one Experiment-1 sweep, and Tables VII and
-VIII from one Experiment-2 sweep, so ``repro.cli`` runs a sweep once,
-caches ``as_dicts`` of it as JSON, and prints both tables from that.
-Paper numbers are embedded so every printed table shows paper vs built
-side by side (the diff EXPERIMENTS.md records).
+Every table reads the records of one sweep (``repro.experiments.sweep``
+as JSON): Tables IV, V and VI the Experiment-1 sweep, keyed by dataset,
+and Tables VII and VIII the Experiment-2 sweep, keyed by #RPQs. Paper
+numbers are embedded so every printed table shows paper vs built side
+by side (the diff EXPERIMENTS.md records); a cell the paper does not
+report prints as ``-``.
 """
 from __future__ import annotations
 
-from dataclasses import asdict
-
-from repro.experiments import DatasetResult, SizeResult
+from repro.graph.generators import DATASETS
 
 # Paper-reported numbers (ms), Tables V & VI (#RPQs = 4).
 PAPER_TABLE5 = {
@@ -75,140 +74,93 @@ PAPER_TABLE8 = {
 }
 
 
-def as_dicts(results: list[DatasetResult] | list[SizeResult]) -> list[dict]:
-    """A sweep as the JSON-ready dicts that ``results/exp{1,2}.json`` hold
-    and the row builders below read."""
-    out = []
-    for r in results:
-        if isinstance(r, DatasetResult):
-            head = {"dataset": r.spec.name, "stats": r.stats}
-        else:
-            head = {"n_rpqs": r.n_rpqs}
-        runs = {m: asdict(run) for m, run in r.runs.items()}
-        out.append({**head, "runs": runs})
-    return out
+# The three phases of Tables V and VII: column stem, record field and
+# the key stem of the paper's numbers.
+PHASES = (
+    ("Shared", "shared_data_ms", "shared"),
+    ("PreJoin", "pre_join_ms", "prejoin"),
+    ("Rem", "remainder_ms", "rem"),
+)
 
 
 def _ratio(a: float, b: float) -> str:
     return f"{a / b:.2f}" if b else "inf"
 
 
-def table5_rows(exp1: list[dict]) -> list[dict]:
+def _paper_ratio(ref: dict | None, a: str, b: str) -> str:
+    """``ref[a] / ref[b]``, or ``-`` where the paper reports no row."""
+    return _ratio(ref[a], ref[b]) if ref else "-"
+
+
+def _head(point: dict, key: str) -> dict[str, object]:
+    """The key cell of a row: the dataset with its degree per label, or
+    the #RPQs every run of the point shares."""
+    if key == "dataset":
+        deg = round(point["stats"]["degree_per_label"], 2)
+        return {"dataset": point["dataset"], "deg": deg}
+    return {"#RPQs": point["runs"]["RTC"]["n_rpqs"]}
+
+
+def stats_rows(points: list[dict]) -> list[dict]:
+    """Table IV: each dataset's built statistics vs the paper's."""
     rows = []
-    for r in exp1:
-        full, rtc = r["runs"]["Full"], r["runs"]["RTC"]
-        paper = PAPER_TABLE5[r["dataset"]]
+    for p in points:
+        stats, spec = p["stats"], DATASETS[p["dataset"]]
         rows.append(
             {
-                "dataset": r["dataset"],
-                "deg": round(r["stats"]["degree_per_label"], 2),
-                "Shared_Full(ms)": round(full["shared_data_ms"], 1),
-                "Shared_RTC(ms)": round(rtc["shared_data_ms"], 1),
-                "Shared F/R": _ratio(
-                    full["shared_data_ms"], rtc["shared_data_ms"]
-                ),
-                "paper F/R": _ratio(
-                    paper["shared_full"], paper["shared_rtc"]
-                ),
-                "PreJoin_Full(ms)": round(full["pre_join_ms"], 1),
-                "PreJoin_RTC(ms)": round(rtc["pre_join_ms"], 1),
-                "PreJoin F/R": _ratio(
-                    full["pre_join_ms"], rtc["pre_join_ms"]
-                ),
-                "paper F/R ": _ratio(
-                    paper["prejoin_full"], paper["prejoin_rtc"]
-                ),
-                "Rem_Full(ms)": round(full["remainder_ms"], 1),
-                "Rem_RTC(ms)": round(rtc["remainder_ms"], 1),
-                "Rem F/R": _ratio(
-                    full["remainder_ms"], rtc["remainder_ms"]
-                ),
-                "paper F/R  ": _ratio(paper["rem_full"], paper["rem_rtc"]),
+                "dataset": p["dataset"],
+                "n_vertices": int(stats["n_vertices"]),
+                "n_edges": int(stats["n_edges"]),
+                "n_labels": int(stats["n_labels"]),
+                "degree_per_label": round(stats["degree_per_label"], 2),
+                "paper_n_vertices": spec.paper_n_vertices,
+                "paper_n_edges": spec.paper_n_edges,
+                "paper_n_labels": spec.paper_n_labels,
+                "paper_degree": spec.paper_degree,
             }
         )
     return rows
 
 
-def table6_rows(exp1: list[dict]) -> list[dict]:
+def phase_rows(points: list[dict], key: str, paper: dict) -> list[dict]:
+    """Tables V and VII: each phase's time, Full vs RTC, per ``key``
+    (``"dataset"`` or ``"#RPQs"``), with the ratios of ``paper``."""
     rows = []
-    for r in exp1:
-        runs = r["runs"]
-        paper = PAPER_TABLE6[r["dataset"]]
-        rows.append(
-            {
-                "dataset": r["dataset"],
-                "deg": round(r["stats"]["degree_per_label"], 2),
-                "Full(ms)": round(runs["Full"]["response_ms"]),
-                "RTC(ms)": round(runs["RTC"]["response_ms"]),
-                "No(ms)": round(runs["No"]["response_ms"]),
-                "Full/RTC": _ratio(
-                    runs["Full"]["response_ms"], runs["RTC"]["response_ms"]
-                ),
-                "No/RTC": _ratio(
-                    runs["No"]["response_ms"], runs["RTC"]["response_ms"]
-                ),
-                "paper Full/RTC": _ratio(paper["full"], paper["rtc"]),
-                "paper No/RTC": _ratio(paper["no"], paper["rtc"]),
-                "|shared| Full": runs["Full"]["shared_size"],
-                "|shared| RTC": runs["RTC"]["shared_size"],
-            }
-        )
+    for p in points:
+        row = _head(p, key)
+        ref = paper.get(row[key])
+        full, rtc = p["runs"]["Full"], p["runs"]["RTC"]
+        for stem, field, ref_stem in PHASES:
+            row[f"{stem}_Full(ms)"] = round(full[field], 1)
+            row[f"{stem}_RTC(ms)"] = round(rtc[field], 1)
+            row[f"{stem} F/R"] = _ratio(full[field], rtc[field])
+            row[f"paper {stem} F/R"] = _paper_ratio(
+                ref, f"{ref_stem}_full", f"{ref_stem}_rtc"
+            )
+        rows.append(row)
     return rows
 
 
-def table7_rows(exp2: list[dict]) -> list[dict]:
+def response_rows(points: list[dict], key: str, paper: dict) -> list[dict]:
+    """Tables VI and VIII: response time per method, per ``key``, with
+    the ratios of ``paper`` and the shared-data sizes (Fig. 11)."""
     rows = []
-    for r in exp2:
-        full, rtc = r["runs"]["Full"], r["runs"]["RTC"]
-        paper = PAPER_TABLE7.get(r["n_rpqs"])
-        rows.append(
+    for p in points:
+        row = _head(p, key)
+        ref = paper.get(row[key])
+        ms = {m: run["response_ms"] for m, run in p["runs"].items()}
+        row.update(
             {
-                "#RPQs": r["n_rpqs"],
-                "Shared_Full(ms)": round(full["shared_data_ms"], 1),
-                "Shared_RTC(ms)": round(rtc["shared_data_ms"], 1),
-                "Shared F/R": _ratio(
-                    full["shared_data_ms"], rtc["shared_data_ms"]
-                ),
-                "paper F/R": _ratio(
-                    paper["shared_full"], paper["shared_rtc"]
-                )
-                if paper
-                else "-",
-                "PreJoin_Full(ms)": round(full["pre_join_ms"], 1),
-                "PreJoin_RTC(ms)": round(rtc["pre_join_ms"], 1),
-                "PreJoin F/R": _ratio(
-                    full["pre_join_ms"], rtc["pre_join_ms"]
-                ),
-                "Rem_Full(ms)": round(full["remainder_ms"], 1),
-                "Rem_RTC(ms)": round(rtc["remainder_ms"], 1),
+                "Full(ms)": round(ms["Full"]),
+                "RTC(ms)": round(ms["RTC"]),
+                "No(ms)": round(ms["No"]),
+                "Full/RTC": _ratio(ms["Full"], ms["RTC"]),
+                "No/RTC": _ratio(ms["No"], ms["RTC"]),
+                "paper Full/RTC": _paper_ratio(ref, "full", "rtc"),
+                "paper No/RTC": _paper_ratio(ref, "no", "rtc"),
+                "|shared| Full": p["runs"]["Full"]["shared_size"],
+                "|shared| RTC": p["runs"]["RTC"]["shared_size"],
             }
         )
-    return rows
-
-
-def table8_rows(exp2: list[dict]) -> list[dict]:
-    rows = []
-    for r in exp2:
-        runs = r["runs"]
-        paper = PAPER_TABLE8.get(r["n_rpqs"])
-        rows.append(
-            {
-                "#RPQs": r["n_rpqs"],
-                "Full(ms)": round(runs["Full"]["response_ms"]),
-                "RTC(ms)": round(runs["RTC"]["response_ms"]),
-                "No(ms)": round(runs["No"]["response_ms"]),
-                "Full/RTC": _ratio(
-                    runs["Full"]["response_ms"], runs["RTC"]["response_ms"]
-                ),
-                "No/RTC": _ratio(
-                    runs["No"]["response_ms"], runs["RTC"]["response_ms"]
-                ),
-                "paper Full/RTC": _ratio(paper["full"], paper["rtc"])
-                if paper
-                else "-",
-                "paper No/RTC": _ratio(paper["no"], paper["rtc"])
-                if paper
-                else "-",
-            }
-        )
+        rows.append(row)
     return rows

@@ -1,7 +1,7 @@
 """Tests for the experiment entrypoint (repro.cli).
 
 The sweeps themselves are exercised by ``tests/test_experiments.py``;
-here the tables print from a cached sweep without starting Spark, a
+here every table prints from a cached sweep without starting Spark, a
 missing or ``--fresh`` sweep runs and is cached, and the parser only
 accepts the paper's tables.
 """
@@ -10,15 +10,23 @@ import json
 import pytest
 
 from repro import cli
-from repro.experiments import MethodRun, SizeResult
+from repro.experiments import MethodRun, SweepPoint
 from repro.graph.generators import DATASETS
 
 
-def _fake_runs(scale):
+STATS = {
+    "n_vertices": 10,
+    "n_edges": 20,
+    "n_labels": 2,
+    "degree_per_label": 1.0,
+}
+
+
+def _fake_runs(scale, n_rpqs=4):
     return {
         m: {
             "method": m,
-            "n_rpqs": 4,
+            "n_rpqs": n_rpqs,
             "shared_data_ms": 10.0 * s,
             "pre_join_ms": 5.0 * s,
             "remainder_ms": 2.0 * s,
@@ -31,14 +39,13 @@ def _fake_runs(scale):
 
 
 EXP1 = [
-    {
-        "dataset": name,
-        "stats": {"degree_per_label": 1.0},
-        "runs": _fake_runs(2.0),
-    }
+    {"dataset": name, "stats": STATS, "runs": _fake_runs(2.0)}
     for name in DATASETS
 ]
-EXP2 = [{"n_rpqs": n, "runs": _fake_runs(2.0)} for n in (1, 2, 4)]
+EXP2 = [
+    {"dataset": "advogato_lite", "stats": STATS, "runs": _fake_runs(2.0, n)}
+    for n in (1, 2, 4)
+]
 
 
 @pytest.fixture
@@ -53,6 +60,13 @@ def results(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "spark_session", no_spark)
     return tmp_path
+
+
+def test_table4_prints_from_cached_json(results, capsys):
+    cli.main(["table", "4"])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("TABLE IV:") and len(lines) == 3 + len(DATASETS)
+    assert "paper_n_edges" in lines[1] and "youtube_lite" in lines[-1]
 
 
 def test_table5_and_6_print_from_cached_json(results, capsys):
@@ -84,7 +98,8 @@ def test_fresh_or_missing_sweep_runs_and_is_cached(
             FakeSpark.stopped = True
 
     run = MethodRun("RTC", 10, 1.0, 2.0, 3.0, 6.0, 5, 9)
-    sweep = [SizeResult(10, {m: run for m in ("Full", "RTC", "No")})]
+    runs = {m: run for m in ("Full", "RTC", "No")}
+    sweep = [SweepPoint("advogato_lite", STATS, runs)]
     monkeypatch.setattr(cli, "spark_session", lambda app, n: FakeSpark())
     sets_run = []
     monkeypatch.setitem(
@@ -97,7 +112,8 @@ def test_fresh_or_missing_sweep_runs_and_is_cached(
         cli.main(["table", "8", "--fresh", "--sets", "2"])
 
     assert sets_run == [2] and FakeSpark.stopped
-    assert json.loads((results / "exp2.json").read_text())[0]["n_rpqs"] == 10
+    cached = json.loads((results / "exp2.json").read_text())
+    assert cached[0]["runs"]["RTC"]["n_rpqs"] == 10
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("TABLE VIII:") and len(lines) == 4
 

@@ -1,21 +1,19 @@
-"""Tests for table-row builders and sweep (de)serialization (repro.tables)."""
+"""Tests for the table-row builders (repro.tables) on sweep records."""
 import json
 from dataclasses import asdict
 
 import pytest
 
-from repro.experiments import DatasetResult, MethodRun, SizeResult
+from repro.experiments import MethodRun, SweepPoint
 from repro.graph.generators import DATASETS
 from repro.tables import (
     PAPER_TABLE5,
     PAPER_TABLE6,
     PAPER_TABLE7,
     PAPER_TABLE8,
-    as_dicts,
-    table5_rows,
-    table6_rows,
-    table7_rows,
-    table8_rows,
+    phase_rows,
+    response_rows,
+    stats_rows,
 )
 
 
@@ -32,17 +30,26 @@ def fake_run(method, n_rpqs=4, scale=1.0):
     }
 
 
+def fake_point(dataset, deg, n_rpqs=4):
+    return {
+        "dataset": dataset,
+        "stats": {
+            "n_vertices": 100,
+            "n_edges": 300,
+            "n_labels": 3,
+            "degree_per_label": deg,
+        },
+        "runs": {
+            "Full": fake_run("Full", n_rpqs, 2.0),
+            "RTC": fake_run("RTC", n_rpqs),
+            "No": fake_run("No", n_rpqs, 3.0),
+        },
+    }
+
+
 def fake_exp1():
     return [
-        {
-            "dataset": name,
-            "stats": {"degree_per_label": deg},
-            "runs": {
-                "Full": fake_run("Full", scale=2.0),
-                "RTC": fake_run("RTC"),
-                "No": fake_run("No", scale=3.0),
-            },
-        }
+        fake_point(name, deg)
         for name, deg in [
             ("yago2s_lite", 0.02),
             ("robots_lite", 0.52),
@@ -53,44 +60,54 @@ def fake_exp1():
 
 
 def fake_exp2():
-    return [
-        {
-            "n_rpqs": n,
-            "runs": {
-                "Full": fake_run("Full", n, 2.0),
-                "RTC": fake_run("RTC", n),
-                "No": fake_run("No", n, 3.0),
-            },
-        }
-        for n in (1, 2, 4, 6, 8, 10)
-    ]
+    return [fake_point("advogato_lite", 2.61, n) for n in (1, 2, 4, 6, 8, 10)]
 
 
 class TestRowBuilders:
+    def test_table4(self):
+        rows = stats_rows(fake_exp1())
+        assert [r["dataset"] for r in rows] == list(DATASETS)
+        adv = rows[2]
+        assert (adv["n_vertices"], adv["degree_per_label"]) == (100, 2.61)
+        assert adv["paper_n_edges"] == DATASETS["advogato_lite"].paper_n_edges
+
     def test_table5(self):
-        rows = table5_rows(fake_exp1())
+        rows = phase_rows(fake_exp1(), key="dataset", paper=PAPER_TABLE5)
         assert len(rows) == 4
         assert rows[0]["Shared F/R"] == "2.00"
         # Paper ratio for advogato shared data is ~170x.
         adv = next(r for r in rows if r["dataset"] == "advogato_lite")
-        assert float(adv["paper F/R"]) == pytest.approx(170.22, abs=0.5)
+        assert float(adv["paper Shared F/R"]) == pytest.approx(170.22, abs=0.5)
+        assert adv["paper PreJoin F/R"] == "3.10"
+        assert adv["paper Rem F/R"] == "1.05"
 
     def test_table6(self):
-        rows = table6_rows(fake_exp1())
+        rows = response_rows(fake_exp1(), key="dataset", paper=PAPER_TABLE6)
         assert all(r["Full/RTC"] == "2.00" for r in rows)
         assert all(r["No/RTC"] == "3.00" for r in rows)
         yt = next(r for r in rows if r["dataset"] == "youtube_lite")
         assert float(yt["paper Full/RTC"]) == pytest.approx(3.72, abs=0.01)
 
     def test_table7(self):
-        rows = table7_rows(fake_exp2())
+        rows = phase_rows(fake_exp2(), key="#RPQs", paper=PAPER_TABLE7)
         assert [r["#RPQs"] for r in rows] == [1, 2, 4, 6, 8, 10]
         assert all(r["Shared F/R"] == "2.00" for r in rows)
+        assert all(r["Rem F/R"] == "2.00" for r in rows)
+        assert rows[0]["paper PreJoin F/R"] == "3.05"
+        assert "deg" not in rows[0]
 
     def test_table8(self):
-        rows = table8_rows(fake_exp2())
+        rows = response_rows(fake_exp2(), key="#RPQs", paper=PAPER_TABLE8)
         one = next(r for r in rows if r["#RPQs"] == 1)
         assert float(one["paper Full/RTC"]) == pytest.approx(8.86, abs=0.01)
+        assert one["|shared| RTC"] == 1000
+
+    def test_rpq_count_the_paper_lacks_prints_dash(self):
+        points = [fake_point("advogato_lite", 2.61, 3)]
+        phases = phase_rows(points, key="#RPQs", paper=PAPER_TABLE7)
+        response = response_rows(points, key="#RPQs", paper=PAPER_TABLE8)
+        assert phases[0]["paper Shared F/R"] == "-"
+        assert response[0]["paper No/RTC"] == "-"
 
 
 class TestPaperConstants:
@@ -111,14 +128,28 @@ class TestPaperConstants:
 class TestSerialization:
     def test_roundtrip(self, tmp_path):
         run = MethodRun("RTC", 4, 1.0, 2.0, 3.0, 6.0, 10, 20)
-        spec = DATASETS["robots_lite"]
-        runs = {"RTC": asdict(run)}
-        exp1 = [{"dataset": spec.name, "stats": {}, "runs": runs}]
-        exp2 = [{"n_rpqs": 4, "runs": runs}]
-        live1 = as_dicts([DatasetResult(spec, {}, {"RTC": run})])
-        live2 = as_dicts([SizeResult(4, {"RTC": run})])
-        assert (live1, live2) == (exp1, exp2)
+        stats = {"n_vertices": 5, "n_edges": 6, "n_labels": 2,
+                 "degree_per_label": 0.6}
+        live = [asdict(SweepPoint("robots_lite", stats, {"RTC": run}))]
+        expected = [
+            {
+                "dataset": "robots_lite",
+                "stats": stats,
+                "runs": {
+                    "RTC": {
+                        "method": "RTC",
+                        "n_rpqs": 4,
+                        "shared_data_ms": 1.0,
+                        "pre_join_ms": 2.0,
+                        "remainder_ms": 3.0,
+                        "response_ms": 6.0,
+                        "shared_size": 10,
+                        "result_rows": 20,
+                    }
+                },
+            }
+        ]
+        assert live == expected
         p = tmp_path / "exp.json"
-        for payload in (exp1, live1, live2):
-            p.write_text(json.dumps(payload, indent=2))
-            assert json.loads(p.read_text()) == payload
+        p.write_text(json.dumps(live, indent=2))
+        assert json.loads(p.read_text()) == expected
