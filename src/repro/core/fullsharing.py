@@ -1,10 +1,15 @@
 """FullSharing baseline (Abul-Basher, ICDE 2017 [8]).
 
 Shares the *full* evaluation result ``R+_G = TC(G_R)`` of the common
-sub-query across RPQs. The closure is computed by semi-naive iteration
-over ``G_R`` — no SCC reduction — and each batch unit joins ``Pre_G``
-against the full vertex-pair relation, performing the redundant-1/-2
-and useless-1/-2 work that RTCSharing eliminates.
+sub-query across RPQs. Like Compute_RTC, the closure runs on one
+machine: ``R_G`` is read to the driver (one Spark job) and closed by a
+BFS from each source, returned as a broadcast-hinted local relation.
+There is no SCC reduction, so Full pays for every pair of ``R+_G``.
+Only when ``|R_G|`` or the running ``|R+_G|`` exceeds the same
+``driver_row_bound`` does it fall back to the distributed semi-naive
+``transitive_closure``. Each batch unit joins ``Pre_G`` against the
+full vertex-pair relation, performing the redundant-1/-2 and
+useless-1/-2 work that RTCSharing eliminates.
 """
 from __future__ import annotations
 
@@ -13,7 +18,12 @@ from pyspark.sql import functions as F
 
 from repro.core.base import MultiRPQEvaluator
 from repro.core.batch_unit import eval_batch_unit_full
-from repro.graph.closure import transitive_closure
+from repro.graph.closure import (
+    bfs_closure,
+    close_on_driver,
+    driver_frame,
+    transitive_closure,
+)
 # Not called here: kept as a name rpqbench/spans.py wraps.
 from repro.graph.iterate import materialize  # noqa: F401
 from repro.rpq.ast import Regex
@@ -25,6 +35,10 @@ class FullSharingEvaluator(MultiRPQEvaluator):
     name = "Full"
 
     def _build_shared(self, r_g: DataFrame) -> DataFrame:
+        closed = close_on_driver(r_g, bfs_closure)
+        if closed is not None:
+            src, dst = closed
+            return driver_frame(r_g.sparkSession, start_v=src, end_v=dst)
         tc = transitive_closure(
             r_g.select(
                 F.col("start_v").alias("src"), F.col("end_v").alias("dst")

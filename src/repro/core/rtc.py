@@ -13,32 +13,21 @@ with no fixpoint (Purdom, BIT 1970; Nuutila 1995). Only when ``|R_G|``
 or the running ``|RTC|`` exceeds the rows the driver may hold
 (``driver_row_bound``) does it fall back to the distributed pipeline:
 trim/colour/collect SCC, ``condense``, then semi-naive
-``transitive_closure``.
+``transitive_closure``. The bound, the read of ``R_G`` and the frames
+are those FullSharing's driver closure uses (``repro.graph.closure``).
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
-import numpy as np
-import pandas as pd
-from pyspark import SparkContext
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.graph.closure import transitive_closure
+from repro.graph.closure import close_on_driver, driver_frame, transitive_closure
 from repro.graph.condense import condense
 # Not called here: kept as a name rpqbench/spans.py wraps.
 from repro.graph.iterate import materialize  # noqa: F401
 from repro.graph.scc import strongly_connected_components, tarjan_scc
-
-# Driver bytes per row of R_G plus RTC on the driver path, rounded up
-# from two measurements: the Python peak (tracemalloc) was 90–310 B on
-# one giant SCC, a DAG chain, stars, self-loops and random graphs of
-# 10^4–10^7 rows; the JVM heap retained ~300 B per output row at 10^6.
-ROW_BYTES = 320
-# The driver path may fill this share of the driver JVM's heap.
-HEAP_SHARE = 0.25
 
 
 @dataclass
@@ -60,13 +49,6 @@ class RTC:
         return self.rtc.count()
 
 
-@functools.cache
-def driver_row_bound(sc: SparkContext) -> int:
-    """Rows of ``R_G``, and of its RTC, that the driver path may hold."""
-    heap = sc._jvm.java.lang.Runtime.getRuntime().maxMemory()
-    return int(heap * HEAP_SHARE) // ROW_BYTES
-
-
 def compute_rtc(r_g: DataFrame) -> RTC:
     """Build the RTC from ``R_G`` pairs ``(start_v, end_v)``.
 
@@ -74,27 +56,22 @@ def compute_rtc(r_g: DataFrame) -> RTC:
     vertices of ``G_R`` are only those incident to such an edge, so no
     extra vertex set is needed.
     """
+    closed = close_on_driver(r_g, _close_reduced)
+    if closed is None:
+        return _compute_rtc_distributed(r_g)
+    comp_of, reach = closed
     spark = r_g.sparkSession
-    bound = driver_row_bound(spark.sparkContext)
-    # One job, and no count(): one row past the bound means "too big".
-    pdf = r_g.select("start_v", "end_v").coalesce(1).limit(bound + 1).toPandas()
-    if len(pdf) <= bound:
-        edges = list(zip(pdf["start_v"].tolist(), pdf["end_v"].tolist()))
-        closed = _close_on_driver(edges, bound)
-        if closed is not None:
-            comp_of, reach = closed
-            return RTC(
-                rtc=_frame(
-                    spark,
-                    start_s=[s for s, r in reach.items() for _ in r],
-                    end_s=[t for r in reach.values() for t in r],
-                ),
-                scc=_frame(spark, v=list(comp_of), s=list(comp_of.values())),
-            )
-    return _compute_rtc_distributed(r_g)
+    return RTC(
+        rtc=driver_frame(
+            spark,
+            start_s=[s for s, r in reach.items() for _ in r],
+            end_s=[t for r in reach.values() for t in r],
+        ),
+        scc=driver_frame(spark, v=list(comp_of), s=list(comp_of.values())),
+    )
 
 
-def _close_on_driver(
+def _close_reduced(
     edges: list[tuple[int, int]], bound: int
 ) -> tuple[dict[int, int], dict[int, set[int]]] | None:
     """SCC assignment of ``G_R`` and ``TC(Ḡ_R)`` as SCC -> reached SCCs.
@@ -127,19 +104,6 @@ def _close_on_driver(
         if n_pairs > bound:
             return None
     return comp_of, reach
-
-
-def _frame(spark: SparkSession, **cols: list[int]) -> DataFrame:
-    """A DataFrame of ``long`` columns from driver lists, hinted for
-    broadcast: it fits the driver, so it fits every executor. Explicit
-    hints apply even with ``autoBroadcastJoinThreshold=-1``. It is not
-    checkpointed: under Arrow's local-relation threshold (48 MB by
-    default) Spark keeps the rows in the plan, which costs no job."""
-    pdf = pd.DataFrame(
-        {c: np.asarray(v, dtype=np.int64) for c, v in cols.items()}
-    )
-    schema = ", ".join(f"{c} long" for c in cols)
-    return F.broadcast(spark.createDataFrame(pdf, schema))
 
 
 def _compute_rtc_distributed(r_g: DataFrame) -> RTC:

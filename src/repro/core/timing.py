@@ -4,8 +4,11 @@ The paper splits each method's query response time into three parts:
 
 - ``shared_data`` — computing the structure shared among RPQs
   (``TC(Ḡ_R)`` + the ``G_R → Ḡ_R`` reduction for RTCSharing;
-  ``TC(G_R)`` for FullSharing). The ``R_G`` computation is excluded
-  (both methods do it identically) and lands in ``remainder``.
+  ``TC(G_R)`` for FullSharing and NoSharing). Both read ``R_G`` to the
+  driver and close it there (one Spark job), or fall back to Spark
+  fixpoints above ``driver_row_bound``. The ``R_G`` computation itself
+  is excluded (both methods do it identically) and lands in
+  ``remainder``.
 - ``pre_join`` — the ``Pre_G ⋈ R+_G`` phase: the one Spark action of
   an RPQ with a closure, so ``Pre_G``, the Post join and the union of
   its clauses run inside it, for every method (equations (7)–(10) for

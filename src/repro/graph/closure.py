@@ -1,4 +1,12 @@
-"""Distributed transitive closure via semi-naive delta iteration.
+"""Transitive closure: on the driver when it fits, else by distributed
+semi-naive delta iteration.
+
+Both shared structures are closed here. Compute_RTC closes ``Ḡ_R``
+(``repro.core.rtc``); FullSharing and NoSharing close ``G_R`` itself
+(``repro.core.fullsharing``). Each reads ``R_G`` to the driver with
+``close_on_driver`` (one Spark job), closes it in Python under
+``driver_row_bound`` and returns the pairs through ``driver_frame``.
+Only above that bound do they fall back to ``transitive_closure``.
 
 ``semi_naive`` is the one delta iteration of the code base: the
 transitive closure below, the backward collect of the distributed SCC
@@ -9,19 +17,102 @@ are stepped each round, and the frontier is anti-joined against
 everything reached so far, so each row is derived once. Each round is
 materialized (``localCheckpoint``) to truncate lineage.
 
-``transitive_closure`` computes all (src, dst) pairs connected by a
-path of **one or more** edges — the Kleene-plus semantics of Lemma 1
-(``R+_G = TC(G_R)``). A vertex pairs with itself only when it lies on a
-cycle (or has a self-loop).
+``transitive_closure`` and ``bfs_closure`` compute all (src, dst)
+pairs connected by a path of **one or more** edges — the Kleene-plus
+semantics of Lemma 1 (``R+_G = TC(G_R)``). A vertex pairs with itself
+only when it lies on a cycle (or has a self-loop).
 """
 from __future__ import annotations
 
-from typing import Callable
+import functools
+import itertools
+from typing import Callable, TypeVar
 
-from pyspark.sql import DataFrame
+import numpy as np
+import pandas as pd
+from pyspark import SparkContext
+from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.graph.iterate import FixpointGuard, materialize
+
+T = TypeVar("T")
+
+# Driver bytes per row of R_G plus its closure on the driver path,
+# rounded up from two measurements: the Python peak (tracemalloc) was
+# 90–310 B for Compute_RTC on one giant SCC, a DAG chain, stars,
+# self-loops and random graphs of 10^4–10^7 rows, and 48–50 B per pair
+# for ``bfs_closure`` plus its int64 frame at ~10^6 pairs (a 1 000-vertex
+# giant SCC of 3 994 edges, and chains of 1 400 and 1 414 edges); the
+# JVM heap retained ~300 B per output row at 10^6.
+ROW_BYTES = 320
+# The driver path may fill this share of the driver JVM's heap.
+HEAP_SHARE = 0.25
+
+
+@functools.cache
+def driver_row_bound(sc: SparkContext) -> int:
+    """Rows of ``R_G``, and of its closure, that the driver path may
+    hold."""
+    heap = sc._jvm.java.lang.Runtime.getRuntime().maxMemory()
+    return int(heap * HEAP_SHARE) // ROW_BYTES
+
+
+def close_on_driver(
+    r_g: DataFrame, close: Callable[[list[tuple[int, int]], int], T | None]
+) -> T | None:
+    """``close(edges, bound)`` over the ``(start_v, end_v)`` pairs of
+    ``R_G``, read to the driver in one Spark job.
+
+    ``None`` when ``|R_G|`` exceeds ``driver_row_bound``, or when
+    ``close`` returns ``None`` because its output would.
+    """
+    bound = driver_row_bound(r_g.sparkSession.sparkContext)
+    # One job, and no count(): one row past the bound means "too big".
+    pdf = r_g.select("start_v", "end_v").coalesce(1).limit(bound + 1).toPandas()
+    if len(pdf) > bound:
+        return None
+    return close(list(zip(pdf["start_v"].tolist(), pdf["end_v"].tolist())), bound)
+
+
+def bfs_closure(
+    edges: list[tuple[int, int]], bound: int
+) -> tuple[list[int], list[int]] | None:
+    """``TC(edges)`` as parallel source and target lists, by BFS from
+    each source, with no SCC condensation. ``None`` as soon as the pairs
+    exceed ``bound``."""
+    succ: dict[int, set[int]] = {}
+    for u, v in edges:
+        succ.setdefault(u, set()).add(v)
+    src: list[int] = []
+    dst: list[int] = []
+    for v0, first in succ.items():
+        seen = set(first)
+        frontier = first
+        while frontier:
+            nxt: set[int] = set()
+            for w in frontier:
+                nxt.update(succ.get(w, ()))
+            frontier = nxt - seen
+            seen |= frontier
+        src.extend(itertools.repeat(v0, len(seen)))
+        dst.extend(seen)
+        if len(dst) > bound:
+            return None
+    return src, dst
+
+
+def driver_frame(spark: SparkSession, **cols: list[int]) -> DataFrame:
+    """A DataFrame of ``long`` columns from driver lists, hinted for
+    broadcast: it fits the driver, so it fits every executor. Explicit
+    hints apply even with ``autoBroadcastJoinThreshold=-1``. It is not
+    checkpointed: under Arrow's local-relation threshold (48 MB by
+    default) Spark keeps the rows in the plan, which costs no job."""
+    pdf = pd.DataFrame(
+        {c: np.asarray(v, dtype=np.int64) for c, v in cols.items()}
+    )
+    schema = ", ".join(f"{c} long" for c in cols)
+    return F.broadcast(spark.createDataFrame(pdf, schema))
 
 
 def semi_naive(

@@ -1,6 +1,9 @@
 """Shared test helpers: paper example graph, SQL builders, edge gens."""
 from __future__ import annotations
 
+import itertools
+import random
+
 import pandas as pd
 
 from repro.pyref import Edge
@@ -29,8 +32,6 @@ def random_labeled_edges(
     *, n_vertices: int, n_edges: int, labels: str, seed: int
 ) -> list[Edge]:
     """Deterministic random edge list for differential tests."""
-    import random
-
     rng = random.Random(seed)
     out = set()
     while len(out) < n_edges:
@@ -113,3 +114,51 @@ def batch_unit_sql(
     else:
         final = "SELECT DISTINCT s AS start_v, d AS end_v FROM core"
     return "WITH RECURSIVE " + ", ".join(ctes) + " " + final
+
+
+def _chords(seed):
+    rng = random.Random(seed)
+    cycle = [(i, (i + 1) % 12) for i in range(12)]
+    return cycle + [(rng.randrange(12), rng.randrange(12)) for _ in range(8)]
+
+
+def _random(seed):
+    rng = random.Random(seed)
+    return [(rng.randrange(12), rng.randrange(12)) for _ in range(20)]
+
+
+# R_G edge sets on which both shared structures are built on the driver
+# and by the distributed fallback.
+R_G_GRAPHS = {
+    "example5": [(2, 4), (2, 6), (3, 5), (4, 2), (5, 3)],
+    **{f"random{seed}": _random(seed) for seed in range(3)},
+    "giant_scc": _chords(7),
+    "dag_chain": [(i, i + 1) for i in range(8)],
+    "self_loops_only": [(v, v) for v in range(5)],
+    "empty": [],
+}
+
+
+def r_g_frame(spark, edges):
+    """An ``R_G`` DataFrame of ``(start_v, end_v)`` pairs."""
+    return spark.createDataFrame(
+        pd.DataFrame(edges, columns=["start_v", "end_v"]),
+        "start_v long, end_v long",
+    )
+
+
+_JOB_GROUPS = itertools.count()
+
+
+def spark_jobs(spark, fn) -> int:
+    """Spark jobs that ``fn()`` runs, counted through a job group of its
+    own (the status tracker keeps a group's jobs after it ends)."""
+    sc = spark.sparkContext
+    group = f"test-spark-jobs-{next(_JOB_GROUPS)}"
+    sc.setJobGroup(group, "counted by a test")
+    try:
+        fn()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    sc._jsc.sc().listenerBus().waitUntilEmpty()
+    return len(sc.statusTracker().getJobIdsForGroup(group))

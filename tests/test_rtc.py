@@ -1,11 +1,9 @@
 """Tests for Compute_RTC (repro.core.rtc) — paper Examples 4–6, Theorem 1,
 and the driver path against the distributed fallback."""
-import random
-
-import pandas as pd
 import pytest
 
 import repro.core.rtc as rtc_module
+import repro.graph.closure as closure_module
 from repro.core.batch_unit import eval_batch_unit_rtc
 from repro.core.edge_reduction import eval_kleene_free
 from repro.core.rtc import compute_rtc
@@ -13,7 +11,7 @@ from repro.graph.iterate import materialize
 from repro.pyref import eval_rpq_python, transitive_closure_python
 from repro.rpq.ast import EPSILON
 from repro.rpq.parser import parse
-from tests.helpers import PAPER_EDGES
+from tests.helpers import PAPER_EDGES, R_G_GRAPHS, r_g_frame, spark_jobs
 
 
 @pytest.fixture(scope="module")
@@ -107,27 +105,6 @@ def reconstruct(rtc):
     }
 
 
-def _chords(seed):
-    rng = random.Random(seed)
-    cycle = [(i, (i + 1) % 12) for i in range(12)]
-    return cycle + [(rng.randrange(12), rng.randrange(12)) for _ in range(8)]
-
-
-def _random(seed):
-    rng = random.Random(seed)
-    return [(rng.randrange(12), rng.randrange(12)) for _ in range(20)]
-
-
-R_G_GRAPHS = {
-    "example5": [(2, 4), (2, 6), (3, 5), (4, 2), (5, 3)],
-    **{f"random{seed}": _random(seed) for seed in range(3)},
-    "giant_scc": _chords(7),
-    "dag_chain": [(i, i + 1) for i in range(8)],
-    "self_loops_only": [(v, v) for v in range(5)],
-    "empty": [],
-}
-
-
 @pytest.fixture
 def fallback_calls(monkeypatch):
     """Counts the runs of the distributed fallback inside compute_rtc."""
@@ -141,13 +118,6 @@ def fallback_calls(monkeypatch):
     return calls
 
 
-def r_g_frame(spark, edges):
-    return spark.createDataFrame(
-        pd.DataFrame(edges, columns=["start_v", "end_v"]),
-        "start_v long, end_v long",
-    )
-
-
 @pytest.mark.parametrize("name", list(R_G_GRAPHS))
 def test_driver_path_matches_distributed_fallback(
     spark, monkeypatch, fallback_calls, name
@@ -159,7 +129,7 @@ def test_driver_path_matches_distributed_fallback(
     driver = compute_rtc(r_g)
     assert fallback_calls == []
     # A bound of -1 is exceeded even by an empty R_G.
-    monkeypatch.setattr(rtc_module, "driver_row_bound", lambda sc: -1)
+    monkeypatch.setattr(closure_module, "driver_row_bound", lambda sc: -1)
     fallback = compute_rtc(r_g)
     assert fallback_calls == [1]
 
@@ -184,7 +154,7 @@ def test_driver_path_stops_when_rtc_passes_bound(
 ):
     """|R_G| fits the bound but |RTC| does not: the fallback runs."""
     edges = [(i, i + 1) for i in range(6)]  # 6 edges, 21 RTC pairs
-    monkeypatch.setattr(rtc_module, "driver_row_bound", lambda sc: 10)
+    monkeypatch.setattr(closure_module, "driver_row_bound", lambda sc: 10)
     rtc = compute_rtc(r_g_frame(spark, edges))
     assert fallback_calls == [1]
     assert reconstruct(rtc) == transitive_closure_python(edges)
@@ -194,16 +164,7 @@ def test_example5_compute_rtc_runs_one_job(spark, paper_graph):
     """Deterministic counter: reading R_G is the only job; the SCC and
     RTC frames stay in the driver-built plan."""
     r_g = materialize(eval_kleene_free(paper_graph, parse("b.c")))
-    sc = spark.sparkContext
-    group = "test-compute-rtc-jobs"
-    sc.setJobGroup(group, "compute_rtc on Example 5")
-    try:
-        compute_rtc(r_g)
-    finally:
-        sc.setLocalProperty("spark.jobGroup.id", None)
-    sc._jsc.sc().listenerBus().waitUntilEmpty()
-    n_jobs = len(sc.statusTracker().getJobIdsForGroup(group))
-    assert n_jobs == 1
+    assert spark_jobs(spark, lambda: compute_rtc(r_g)) == 1
 
 
 def _batch_units(graph, rtc):
@@ -235,7 +196,7 @@ def test_fallback_rtc_batch_units_match_and_are_not_broadcast(
     distributed fallback's is not, and both give the same answers."""
     r_g = eval_kleene_free(paper_graph, parse("b.c"))
     driver = compute_rtc(r_g)
-    monkeypatch.setattr(rtc_module, "driver_row_bound", lambda sc: -1)
+    monkeypatch.setattr(closure_module, "driver_row_bound", lambda sc: -1)
     fallback = compute_rtc(r_g)
     assert fallback_calls == [1]
 
