@@ -24,15 +24,29 @@ vertices of ``G_R`` (EvalRestrictedRPQ keyed by SCC), giving
 ``(s, post_end)`` pairs, and ResEq8 joins them on ``s``. The vertex-
 level ResEq9 — every reached SCC expanded back into its members — is
 never built. The Kleene-star zero-iteration branch (Algorithm 2 line
-11) stays at vertex level: ``Pre_G`` (or the identity over V when
-Pre = ε) extended through the same Post, unioned in before the one
-final ``distinct``. The whole unit is one lazy plan; nothing here runs
-a Spark job: ``MultiRPQEvaluator.evaluate`` materializes it together
-with the rest of the RPQ. The SCC and RTC relations carry broadcast
-hints when ``compute_rtc`` built them on the driver.
+11) stays at vertex level: ``Pre_G`` extended through the same Post —
+with Pre = ε, ``Post_G`` itself, and the identity over V only when
+Post = ε too — unioned in before the one final ``distinct``. The whole
+unit is one lazy plan; nothing here runs a Spark job:
+``MultiRPQEvaluator.evaluate`` materializes it together with the rest
+of the RPQ. The SCC and RTC relations carry broadcast hints when
+``compute_rtc`` built them on the driver.
+
+Prepared relations. A unit builds only the joins that read this RPQ's
+``Pre_G``; everything else is built once, where it stops changing:
+
+- per graph and label, the seed frame ``(start_v, end_v)`` and the
+  step frame ``(end_v, next_v)`` of every label join
+  (``LabeledGraph.label_pairs``/``label_steps``);
+- per R, the SCC relation as ``(end_v, s)``, read by eq (7) and by the
+  tail in that one layout (so Spark broadcasts it once per RPQ), and
+  the RTC as ``(s, end_s)`` (``RTC.scc_by_v``/``rtc_by_s``);
+- per (R, Post), the tail ``(s, end_v)`` (``RTC.tail``);
+- for FullSharing, per R, ``R+_G`` both as is and as ``(end_v,
+  plus_end_v)`` for its join (``RPlus``).
 
 Partitioning. Every label step of ``Pre_G`` and ``Post_G`` deduplicates
-after a ``repartition`` by ``start_v`` (``edge_reduction._dedup``), so
+after a ``repartition`` by its key column (``model.dedup_pairs``), so
 ``Pre_G`` arrives hash-partitioned by ``start_v``. The joins of eqs (7)
 and (8) are broadcast joins, which keep that partitioning, and both
 distincts group by ``(start_v, s)``, so neither needs an exchange. The
@@ -50,15 +64,21 @@ one ``distinct``.
 """
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from pyspark.sql import DataFrame
+from pyspark.sql import functions as F
 
 # Not called here: kept as names rpqbench/spans.py wraps.
 from repro.core.edge_reduction import eval_kleene_free  # noqa: F401
 from repro.core.edge_reduction import extend_pairs
 from repro.core.rtc import RTC
 from repro.graph.iterate import materialize  # noqa: F401
-from repro.graph.model import PAIR_COLS, LabeledGraph, identity_pairs
+from repro.graph.model import PAIR_COLS, LabeledGraph
 from repro.rpq.ast import Epsilon, Regex
+
+if TYPE_CHECKING:
+    from repro.core.fullsharing import RPlus
 
 
 def eval_batch_unit_rtc(
@@ -73,31 +93,27 @@ def eval_batch_unit_rtc(
     if pre_g is None:
         # Every vertex of G_R paired with its SCC; unique by
         # construction (one SCC per vertex).
-        res_eq7 = rtc.scc.toDF("start_v", "s")
+        res_eq7 = rtc.scc_by_v.select(F.col("end_v").alias("start_v"), "s")
     else:
         # (7): Pre_G ⋈ SCC, distinct — eliminates redundant-1 ops.
         res_eq7 = (
-            pre_g.join(rtc.scc.toDF("end_v", "s"), "end_v")
-            .select("start_v", "s")
-            .distinct()
+            pre_g.join(rtc.scc_by_v, "end_v").select("start_v", "s").distinct()
         )
     # (8): ⋈ RTC, distinct — eliminates redundant-2 ops. useless-1
     # ops never happen: only SCCs present in res_eq7 are expanded.
     res_eq8 = (
-        res_eq7.join(rtc.rtc.toDF("s", "end_s"), "s")
-        .select("start_v", "end_s")
-        .toDF("start_v", "s")
+        res_eq7.join(rtc.rtc_by_s, "s")
+        .select("start_v", F.col("end_s").alias("s"))
         .distinct()
     )
     # The tail (s, post_end) = π(SCC ⋈ Post_G): Post restricted to
     # the vertices of G_R, keyed by SCC (with Post = ε, the SCC
-    # relation itself). Joining it on s stands for (9) followed by
-    # the Post join (Theorem 2's associativity), so the vertex-level
-    # ResEq9 is never built. The tail does not depend on res_eq8:
-    # narrowing it to the SCCs res_eq8 reaches would re-run eqs
-    # (7)–(8) and still scan every Post edge.
-    tail = extend_pairs(graph, rtc.scc.select("s", "v").toDF(*PAIR_COLS), post)
-    out = res_eq8.join(tail.toDF("s", "end_v"), "s").select(*PAIR_COLS)
+    # relation itself), built once per (R, Post). Joining it on s
+    # stands for (9) followed by the Post join (Theorem 2's
+    # associativity), so the vertex-level ResEq9 is never built. The
+    # tail does not depend on res_eq8: narrowing it to the SCCs res_eq8
+    # reaches would re-run eqs (7)–(8) and still scan every Post edge.
+    out = res_eq8.join(rtc.tail(graph, post), "s").select(*PAIR_COLS)
     # With kind + and Post = ε, out needs no duplicate check — useless-2
     # elimination: SCC vertex sets are mutually disjoint and res_eq8 is
     # distinct.
@@ -107,7 +123,7 @@ def eval_batch_unit_rtc(
 def eval_batch_unit_full(
     graph: LabeledGraph,
     pre_g: DataFrame | None,
-    r_plus: DataFrame,
+    r_plus: RPlus,
     kind: str,
     post: Regex,
 ) -> DataFrame:
@@ -115,12 +131,11 @@ def eval_batch_unit_full(
     level — the unoptimized pipeline of [8] used as the baseline —
     extended through Post in the same plan."""
     if pre_g is None:
-        joined = r_plus
+        joined = r_plus.pairs
     else:
         joined = (
-            pre_g.join(r_plus.toDF("end_v", "plus_end_v"), "end_v")
-            .select("start_v", "plus_end_v")
-            .toDF(*PAIR_COLS)
+            pre_g.join(r_plus.by_start, "end_v")
+            .select("start_v", F.col("plus_end_v").alias("end_v"))
             .distinct()
         )
     # R+_G and joined are distinct, so with kind + and Post = ε so is out.
@@ -140,9 +155,10 @@ def _finish(
     ``distinct`` (none for ``+`` with Post = ε: ``out`` is distinct by
     construction there)."""
     if kind == "*":
-        # Zero iterations of R: (Pre·Post)_G at vertex level.
-        zero = pre_g if pre_g is not None else identity_pairs(graph.vertices)
-        out = out.union(extend_pairs(graph, zero, post))
+        # Zero iterations of R: (Pre·Post)_G at vertex level. With
+        # Pre = ε that is Post_G itself, from every vertex; the identity
+        # over V is built only when Post = ε too.
+        out = out.union(extend_pairs(graph, pre_g, post))
     if kind == "*" or not isinstance(post, Epsilon):
         out = out.distinct()
     return out

@@ -14,7 +14,10 @@ unlabeled edge". Two evaluators are provided:
   unit evaluates Post through it — RTCSharing restricted to the
   vertices of ``G_R`` and keyed by SCC (EvalRestrictedRPQ in
   Algorithm 2), FullSharing/NoSharing from the ends of
-  ``Pre_G ⋈ R+_G``.
+  ``Pre_G ⋈ R+_G``, and the ``R*`` zero branch with Pre = ε from every
+  vertex. Both read the per-label frames the graph prepares once
+  (``LabeledGraph.label_pairs``/``label_steps``), so a chain builds
+  only its joins.
 - ``eval_rpq_automaton`` — the general Yakovets-style [5] traversal for
   arbitrary regexes: a product BFS of (start vertex, current vertex,
   NFA state) as iterative DataFrame joins, with the visited-set
@@ -29,8 +32,8 @@ from pyspark.sql import functions as F
 from repro.graph.closure import semi_naive
 from repro.graph.iterate import materialize
 from repro.graph.model import (
-    PAIR_COLS,
     LabeledGraph,
+    dedup_pairs,
     empty_pairs,
     identity_pairs,
     union_all,
@@ -47,52 +50,58 @@ def eval_kleene_free(graph: LabeledGraph, regex: Regex) -> DataFrame:
     by ``start_v`` when ``regex`` has one label sequence. For the ε
     expression it is the identity relation over V.
     """
-    parts = [
-        _follow(graph, _dedup(graph.edges_for_label(seq[0])), seq[1:])
-        if seq
-        else identity_pairs(graph.vertices)
-        for seq in label_sequences(regex)
-    ]
+    parts = [_chain(graph, None, seq) for seq in label_sequences(regex)]
     if len(parts) == 1:
         return parts[0]
     return union_all(parts, lambda: empty_pairs(graph.spark)).distinct()
 
 
 def extend_pairs(
-    graph: LabeledGraph, pairs: DataFrame, regex: Regex
+    graph: LabeledGraph,
+    pairs: DataFrame | None,
+    regex: Regex,
+    key: str = "start_v",
 ) -> DataFrame:
-    """``pairs ⋈ regex_G`` on ``end_v``, as a lazy plan.
+    """``pairs ⋈ regex_G`` on ``end_v``, as a lazy plan of ``(key,
+    end_v)`` rows.
 
-    Every ``(start_v, end_v)`` pair is extended along each label
-    sequence of the closure-free ``regex`` — restricted evaluation keyed
-    by whatever ``start_v`` holds. Each label join is followed by a
-    ``distinct``; the union across sequences is left to the caller to
-    deduplicate, together with whatever else it unions in. For ε the
-    result is ``pairs`` itself.
+    Every pair is extended along each label sequence of the closure-free
+    ``regex`` — restricted evaluation keyed by whatever ``key`` holds.
+    Each label join is followed by a ``distinct``; the union across
+    sequences is left to the caller to deduplicate, together with
+    whatever else it unions in. For ε the result is ``pairs`` itself.
+    ``pairs=None`` stands for the identity over V, "from every vertex":
+    the result is then ``regex_G``, and the identity is built only for
+    an ε sequence.
     """
     return union_all(
-        [_follow(graph, pairs, seq) for seq in label_sequences(regex)],
+        [_chain(graph, pairs, seq, key) for seq in label_sequences(regex)],
         lambda: empty_pairs(graph.spark),
     )
 
 
-def _follow(
-    graph: LabeledGraph, pairs: DataFrame, labels: tuple[str, ...]
+def _chain(
+    graph: LabeledGraph,
+    pairs: DataFrame | None,
+    labels: tuple[str, ...],
+    key: str = "start_v",
 ) -> DataFrame:
-    """Extend ``(start_v, end_v)`` pairs along ``labels``, one label
-    join and one ``distinct`` per label."""
+    """Extend ``(key, end_v)`` pairs along ``labels``, one label join
+    and one ``distinct`` per label; ``pairs=None`` starts from the
+    graph's prepared frame of the first label (or the identity over V
+    when ``labels`` is empty)."""
+    if pairs is None:
+        if not labels:
+            return identity_pairs(graph.vertices)
+        pairs, labels = graph.label_pairs(labels[0]), labels[1:]
     for label in labels:
-        nxt = graph.edges_for_label(label).toDF("end_v", "next_v")
-        pairs = _dedup(pairs.join(nxt, "end_v").select("start_v", "next_v"))
+        pairs = dedup_pairs(
+            pairs.join(graph.label_steps(label), "end_v").select(
+                key, F.col("next_v").alias("end_v")
+            ),
+            key,
+        )
     return pairs
-
-
-def _dedup(pairs: DataFrame) -> DataFrame:
-    """Distinct ``(start_v, end_v)`` from two columns, hash-partitioned
-    by ``start_v``. Every operator that keeps ``start_v`` and is not a
-    shuffle join — the broadcast joins and ``distinct``s of eqs (7)–(8),
-    a join keyed on ``start_v`` — then needs no exchange of its own."""
-    return pairs.toDF(*PAIR_COLS).repartition("start_v").distinct()
 
 
 def eval_rpq_automaton(

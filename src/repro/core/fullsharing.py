@@ -9,9 +9,12 @@ Only when ``|R_G|`` or the running ``|R+_G|`` exceeds the same
 ``driver_row_bound`` does it fall back to the distributed semi-naive
 ``transitive_closure``. Each batch unit joins ``Pre_G`` against the
 full vertex-pair relation, performing the redundant-1/-2 and
-useless-1/-2 work that RTCSharing eliminates.
+useless-1/-2 work that RTCSharing eliminates. The cache entry keeps
+``R+_G`` also in the shape that join reads, built once per R.
 """
 from __future__ import annotations
+
+from dataclasses import dataclass, field
 
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
@@ -29,30 +32,49 @@ from repro.graph.iterate import materialize  # noqa: F401
 from repro.rpq.ast import Regex
 
 
+@dataclass
+class RPlus:
+    """The shared structure of FullSharing for one sub-query R.
+
+    - ``pairs``: ``(start_v, end_v)`` — ``R+_G`` itself, read as is when
+      Pre = ε.
+    - ``by_start``: ``(end_v, plus_end_v)`` — the same pairs named for
+      ``Pre_G ⋈ R+_G`` on ``end_v``, built once with them.
+    """
+
+    pairs: DataFrame
+    by_start: DataFrame = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.by_start = self.pairs.select(
+            F.col("start_v").alias("end_v"), F.col("end_v").alias("plus_end_v")
+        )
+
+
 class FullSharingEvaluator(MultiRPQEvaluator):
     """Shares ``R+_G`` (the full Kleene-plus result) across RPQs."""
 
     name = "Full"
 
-    def _build_shared(self, r_g: DataFrame) -> DataFrame:
+    def _build_shared(self, r_g: DataFrame) -> RPlus:
         closed = close_on_driver(r_g, bfs_closure)
         if closed is not None:
             src, dst = closed
-            return driver_frame(r_g.sparkSession, start_v=src, end_v=dst)
+            return RPlus(driver_frame(r_g.sparkSession, start_v=src, end_v=dst))
         tc = transitive_closure(
             r_g.select(
                 F.col("start_v").alias("src"), F.col("end_v").alias("dst")
             )
         )
         # ``tc`` is already materialized; the renaming needs no copy.
-        return tc.select(
-            F.col("src").alias("start_v"), F.col("dst").alias("end_v")
+        return RPlus(
+            tc.select(F.col("src").alias("start_v"), F.col("dst").alias("end_v"))
         )
 
     def _eval_unit(
         self,
         pre_g: DataFrame | None,
-        r_plus: DataFrame,
+        r_plus: RPlus,
         kind: str,
         post: Regex,
     ) -> DataFrame:
@@ -60,4 +82,4 @@ class FullSharingEvaluator(MultiRPQEvaluator):
 
     def shared_data_size(self) -> int:
         # Counted here, not in the query path: the count is bookkeeping.
-        return sum(r_plus.count() for r_plus in self._shared.values())
+        return sum(r_plus.pairs.count() for r_plus in self._shared.values())

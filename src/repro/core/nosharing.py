@@ -11,9 +11,7 @@ query, which is exactly the repeated work Section II-C describes.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame
-
-from repro.core.fullsharing import FullSharingEvaluator
+from repro.core.fullsharing import FullSharingEvaluator, RPlus
 from repro.core.timing import PhaseTimings
 from repro.rpq.ast import Regex
 
@@ -23,7 +21,7 @@ class NoSharingEvaluator(FullSharingEvaluator):
 
     name = "No"
 
-    def _shared_for(self, r: Regex, t: PhaseTimings) -> DataFrame:
+    def _shared_for(self, r: Regex, t: PhaseTimings) -> RPlus:
         # Drop any cached closure so every query pays the full cost.
         self._shared.pop(r.canon(), None)
         return super()._shared_for(r, t)

@@ -4,7 +4,10 @@ Given ``R_G`` (the edge set of the edge-level reduced graph ``G_R``),
 compute the SCC assignment of ``G_R``, condense it to ``Ḡ_R``, and take
 the transitive closure of ``Ḡ_R`` — the RTC of Section III-C. Both
 pieces are returned because EvalBatchUnit joins through the SCC
-relation on both sides of the RTC (Theorem 2).
+relation on both sides of the RTC (Theorem 2). The ``RTC`` entry also
+prepares, once per R, what every batch unit over R reads: the SCC and
+RTC relations named for eqs (7) and (8), and the SCC-keyed Post tail
+per Post.
 
 As in the paper, this runs on one machine: ``R_G`` is collected to the
 driver and Tarjan's algorithm [14] finds the SCCs. Tarjan emits them in
@@ -18,16 +21,19 @@ are those FullSharing's driver closure uses (``repro.graph.closure``).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+from repro.core.edge_reduction import extend_pairs
 from repro.graph.closure import close_on_driver, driver_frame, transitive_closure
 from repro.graph.condense import condense
 # Not called here: kept as a name rpqbench/spans.py wraps.
 from repro.graph.iterate import materialize  # noqa: F401
+from repro.graph.model import LabeledGraph
 from repro.graph.scc import strongly_connected_components, tarjan_scc
+from repro.rpq.ast import Epsilon, Regex
 
 
 @dataclass
@@ -38,11 +44,42 @@ class RTC:
     - ``scc``: ``(v, s)`` — the SCC relation of ``G_R`` (Section IV-B).
 
     Both carry a broadcast hint when built on the driver; the
-    distributed fallback's frames carry none.
+    distributed fallback's frames carry none. Built with them, once per
+    R, are the relations every batch unit over R joins, already named
+    for their joins:
+
+    - ``scc_by_v``: ``(end_v, s)``, read by eq (7) and as the seed of the
+      tail. One layout and one join key (``end_v``), so Spark broadcasts
+      it once per RPQ.
+    - ``rtc_by_s``: ``(s, end_s)``, read by eq (8).
+    - ``tail(graph, post)``: the SCC-keyed Post tail
+      ``π_{s,post_end}(SCC ⋈ Post_G)`` as ``(s, end_v)``, a lazy plan
+      built once per ``Post``.
     """
 
     rtc: DataFrame
     scc: DataFrame
+    scc_by_v: DataFrame = field(init=False)
+    rtc_by_s: DataFrame = field(init=False)
+    _tails: dict[str, DataFrame] = field(init=False, default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self.scc_by_v = self.scc.select(F.col("v").alias("end_v"), "s")
+        self.rtc_by_s = self.rtc.select(F.col("start_s").alias("s"), "end_s")
+
+    def tail(self, graph: LabeledGraph, post: Regex) -> DataFrame:
+        """``π_{s,post_end}(SCC ⋈ Post_G)`` as ``(s, end_v)``: Post
+        restricted to the vertices of ``G_R`` (``graph`` is the graph R
+        was evaluated on), keyed by SCC; for Post = ε, the SCC relation
+        itself."""
+        key = post.canon()
+        if key not in self._tails:
+            self._tails[key] = (
+                self.scc_by_v.select("s", "end_v")
+                if isinstance(post, Epsilon)
+                else extend_pairs(graph, self.scc_by_v, post, "s")
+            )
+        return self._tails[key]
 
     def n_pairs(self) -> int:
         """Shared-data size: |RTC| (the paper's Fig. 11 metric)."""

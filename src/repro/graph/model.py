@@ -29,9 +29,20 @@ class LabeledGraph:
     ``edges`` must follow the ``(src, label, dst)`` schema. Parallel
     edges between the same pair must carry distinct labels (the data
     model of Section II-A); ``from_edges`` enforces this by dedup.
+
+    Relations derived from ``edges`` — ``vertices``, ``labels`` and the
+    per-label frames every label join reads (``label_pairs``,
+    ``label_steps``) — are built once and kept; assigning ``edges``
+    drops them, so they always follow the current edge set.
     """
 
     edges: DataFrame
+
+    def __setattr__(self, name: str, value: object) -> None:
+        super().__setattr__(name, value)
+        if name == "edges":
+            for derived in ("vertices", "labels", "_label_frames"):
+                self.__dict__.pop(derived, None)
 
     @classmethod
     def from_edges(cls, edges: DataFrame) -> "LabeledGraph":
@@ -87,6 +98,39 @@ class LabeledGraph:
         e = self.edges
         return e.where(e["label"] == label).select("src", "dst")
 
+    def label_pairs(self, label: str) -> DataFrame:
+        """``label_G`` as distinct ``(start_v, end_v)`` pairs,
+        hash-partitioned by ``start_v``: the first step of a label
+        chain. Built once per label."""
+        return self._label_frame("pairs", label)
+
+    def label_steps(self, label: str) -> DataFrame:
+        """``label_G`` as ``(end_v, next_v)``: the right side of a label
+        join on ``end_v``. Built once per label."""
+        return self._label_frame("steps", label)
+
+    @cached_property
+    def _label_frames(self) -> dict[tuple[str, str], DataFrame]:
+        return {}
+
+    def _label_frame(self, kind: str, label: str) -> DataFrame:
+        key = (kind, label)
+        if key not in self._label_frames:
+            e = self.edges_for_label(label)
+            if kind == "pairs":
+                frame = dedup_pairs(
+                    e.select(
+                        F.col("src").alias("start_v"),
+                        F.col("dst").alias("end_v"),
+                    )
+                )
+            else:
+                frame = e.select(
+                    F.col("src").alias("end_v"), F.col("dst").alias("next_v")
+                )
+            self._label_frames[key] = frame
+        return self._label_frames[key]
+
     def stats(self) -> dict[str, float]:
         """|V|, |E|, |Σ| and the paper's vertex degree per label."""
         n_v = self.vertices.count()
@@ -109,7 +153,17 @@ class LabeledGraph:
 
 def identity_pairs(vertices: DataFrame) -> DataFrame:
     """The identity relation {(v, v)} over a vertex DataFrame ``(v)``."""
-    return vertices.select("v", "v").toDF(*PAIR_COLS)
+    return vertices.select(
+        F.col("v").alias("start_v"), F.col("v").alias("end_v")
+    )
+
+
+def dedup_pairs(pairs: DataFrame, key: str = "start_v") -> DataFrame:
+    """Distinct rows of ``pairs``, hash-partitioned by ``key``. Every
+    operator that keeps ``key`` and is not a shuffle join — the
+    broadcast joins and ``distinct``s of eqs (7)–(8), a join keyed on
+    ``key`` — then needs no exchange of its own."""
+    return pairs.repartition(key).distinct()
 
 
 def empty_pairs(spark: SparkSession) -> DataFrame:

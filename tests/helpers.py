@@ -3,8 +3,10 @@ from __future__ import annotations
 
 import itertools
 import random
+from unittest import mock
 
 import pandas as pd
+from pyspark.sql.classic.dataframe import DataFrame
 
 from repro.pyref import Edge
 
@@ -162,3 +164,21 @@ def spark_jobs(spark, fn) -> int:
         sc.setLocalProperty("spark.jobGroup.id", None)
     sc._jsc.sc().listenerBus().waitUntilEmpty()
     return len(sc.statusTracker().getJobIdsForGroup(group))
+
+
+def dataframes_built(fn) -> int:
+    """Calls of ``DataFrame.__init__`` while ``fn()`` runs: a
+    deterministic measure of plan-building work. PySpark's classic
+    ``DataFrame.__new__`` calls ``__init__`` itself before Python calls
+    it again, so each DataFrame counts twice."""
+    built = 0
+    init = DataFrame.__init__
+
+    def spy(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        init(self, *args, **kwargs)
+
+    with mock.patch.object(DataFrame, "__init__", spy):
+        fn()
+    return built

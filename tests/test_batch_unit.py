@@ -16,6 +16,7 @@ import repro.core.rtc as rtc_module
 from repro.core import FullSharingEvaluator, PhaseTimings, RTCSharingEvaluator
 from repro.core.batch_unit import eval_batch_unit_full, eval_batch_unit_rtc
 from repro.core.edge_reduction import eval_kleene_free
+from repro.core.fullsharing import RPlus
 from repro.core.rtc import compute_rtc
 from repro.graph.closure import transitive_closure
 from repro.graph.iterate import materialize
@@ -24,7 +25,12 @@ from repro.oracle import assert_equivalent
 from repro.pyref import eval_rpq_python
 from repro.rpq.ast import EPSILON
 from repro.rpq.parser import parse
-from tests.helpers import PAPER_EDGES, batch_unit_sql, edges_pdf
+from tests.helpers import (
+    PAPER_EDGES,
+    batch_unit_sql,
+    dataframes_built,
+    edges_pdf,
+)
 
 
 def rows(df):
@@ -41,7 +47,7 @@ def shared(paper_graph):
             r_g.selectExpr("start_v as src", "end_v as dst")
         ).selectExpr("src as start_v", "dst as end_v")
     )
-    return rtc, r_plus
+    return rtc, RPlus(r_plus)
 
 
 CASES = [
@@ -157,11 +163,12 @@ def test_batch_unit_materializes_once(
 
 def test_reuse_rpq_plan_shape_and_jobs(spark, paper_graph, materialized):
     """Deterministic counters of the reuse RPQ d.(b.c)+.e once the RTC of
-    b.c is cached (8 shuffle partitions): its one Spark action runs 8
+    b.c is cached (8 shuffle partitions): its one Spark action runs 7
     jobs over 4 hash exchanges, and Pre_G arrives partitioned by
-    start_v, so the distincts of eqs (7) and (8) need no exchange. The
-    edges are checkpointed, as the benchmark's are, so that their
-    deduplication is not part of the plan."""
+    start_v, so the distincts of eqs (7) and (8) need no exchange. Eq
+    (7) and the tail read the SCC relation in one layout, so it is
+    broadcast once. The edges are checkpointed, as the benchmark's are,
+    so that their deduplication is not part of the plan."""
     graph = LabeledGraph(materialize(paper_graph.edges))
     ev = RTCSharingEvaluator(graph)
     ev.evaluate("d.(b.c)+.c")
@@ -188,7 +195,23 @@ def test_reuse_rpq_plan_shape_and_jobs(spark, paper_graph, materialized):
     assert len(eq78) == 4
     assert not any("Exchange" in line for line in final[eq78[0] : eq78[-1]])
     assert sum("Exchange hashpartitioning" in line for line in final) == 4
-    assert n_jobs == 8
+    assert n_jobs == 7
+
+
+@pytest.mark.parametrize(
+    "cls,built", [(RTCSharingEvaluator, 32), (FullSharingEvaluator, 22)]
+)
+def test_reuse_rpq_dataframes_built(paper_graph, cls, built):
+    """Deterministic counter of plan building: the DataFrames constructed
+    for the reuse RPQ d.(b.c)+.e once the shared structure of b.c is
+    cached. The per-label frames of d, the join-ready SCC/RTC or R+_G
+    and the tails of earlier Posts are prepared already; only the joins
+    that read Pre_G, and the frames of the new Post label e, are
+    built."""
+    ev = cls(LabeledGraph(materialize(paper_graph.edges)))
+    ev.evaluate("d.(b.c)+.c")
+    query = parse("d.(b.c)+.e")
+    assert dataframes_built(lambda: ev._plan(query, PhaseTimings())) == built
 
 
 def test_result_distinct(paper_graph, shared):

@@ -74,6 +74,49 @@ def test_random_graphs(make_graph, seed, text):
         assert rows(cls(g).evaluate(text)) == want, (cls.__name__, text)
 
 
+# One sequence that hits every memo of the prepared relations: one R with
+# two Posts, then a repeated Post (the RTC's SCC-keyed tails); Pre = ε
+# with R* (the zero branch is Post_G itself); a union Pre; a nested
+# closure. ``{r}`` is the shared body, ``{x}``, ``{y}``, ``{z}`` labels.
+MEMO_SEQUENCE = [
+    "{x}.({r})+.{y}",
+    "{x}.({r})+.{z}",
+    "{z}.({r})+.{y}",
+    "({r})*.{y}",
+    "({r})*",
+    "({x}|{z}).({r})+.{y}",
+    "{x}.({r})+.({r})*",
+]
+
+
+@pytest.mark.parametrize(
+    "graph,names",
+    [
+        ("paper", dict(r="b.c", x="d", y="e", z="c")),
+        ("random", dict(r="a.b", x="c", y="a", z="b")),
+    ],
+)
+def test_memo_hits_agree_with_reference(make_graph, graph, names):
+    """RTC ≡ Full ≡ No ≡ pyref on one evaluator per method, run through
+    a sequence whose later queries reuse prepared relations."""
+    edges = (
+        PAPER_EDGES
+        if graph == "paper"
+        else random_labeled_edges(
+            n_vertices=9, n_edges=24, labels="abc", seed=107
+        )
+    )
+    g = make_graph(edges)
+    evaluators = [cls(g) for cls in ALL_EVALUATORS]
+    for template in MEMO_SEQUENCE:
+        text = template.format(**names)
+        want = eval_rpq_python(edges, parse(text))
+        for ev in evaluators:
+            assert rows(ev.evaluate(text)) == want, (ev.name, text)
+    rtc = evaluators[0]._shared[parse(names["r"]).canon()]
+    assert {names["y"], names["z"], "eps"} <= set(rtc._tails)
+
+
 @pytest.mark.parametrize("text", ["(zz)+", "a.(zz)*.b", "(zz)*.a"])
 def test_closure_body_with_no_edges(make_graph, text):
     """``zz`` is not in Σ: R_G, the SCC relation and the RTC are empty,

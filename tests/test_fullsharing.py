@@ -43,11 +43,11 @@ def test_driver_closure_matches_fallback(
     edges = sorted(set(R_G_GRAPHS[name]))
     r_g = r_g_frame(spark, edges)
     ev = FullSharingEvaluator(paper_graph)
-    driver = ev._build_shared(r_g)
+    driver = ev._build_shared(r_g).pairs
     assert fallback_calls == []
     # A bound of -1 is exceeded even by an empty R_G.
     monkeypatch.setattr(closure_module, "driver_row_bound", lambda sc: -1)
-    fallback = ev._build_shared(r_g)
+    fallback = ev._build_shared(r_g).pairs
     assert fallback_calls == [1]
 
     want = transitive_closure_python(edges)
@@ -70,7 +70,7 @@ def test_driver_closure_stops_when_r_plus_passes_bound(
     monkeypatch.setattr(closure_module, "driver_row_bound", lambda sc: 10)
     r_plus = FullSharingEvaluator(paper_graph)._build_shared(
         r_g_frame(spark, edges)
-    )
+    ).pairs
     assert fallback_calls == [1]
     assert pairs(r_plus) == transitive_closure_python(edges)
 

@@ -2,11 +2,14 @@
 import pandas as pd
 import pytest
 
+from repro.core import RTCSharingEvaluator
 from repro.graph.model import (
     LabeledGraph,
     empty_pairs,
     identity_pairs,
 )
+from repro.pyref import eval_rpq_python
+from repro.rpq.parser import parse
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +64,37 @@ class TestAccessors:
         triples = [(1, "a", 2), (2, "b", 1)]
         g = LabeledGraph.from_triples(spark, triples)
         assert sorted(g.triples()) == sorted(triples)
+
+    def test_label_frames(self, tiny):
+        pairs = {(r.start_v, r.end_v) for r in tiny.label_pairs("a").collect()}
+        steps = {(r.end_v, r.next_v) for r in tiny.label_steps("a").collect()}
+        assert pairs == steps == {(1, 2), (3, 1)}
+        assert tiny.label_pairs("a") is tiny.label_pairs("a")
+        assert tiny.label_steps("a") is tiny.label_steps("a")
+        assert tiny.label_pairs("zzz").count() == 0
+
+
+def test_derived_relations_follow_reassigned_edges(spark):
+    """Assigning ``edges`` drops every relation derived from the old
+    edge set: vertices, labels, per-label frames and the answers built
+    from them follow the new edges."""
+    old = [(1, "a", 2), (2, "a", 3)]
+    new = [(5, "b", 6), (6, "a", 5), (6, "a", 7)]
+    g = LabeledGraph.from_triples(spark, old)
+    queries = ["a.a", "(a)*", "b.(a)+"]
+    for q in queries:
+        RTCSharingEvaluator(g).evaluate(q).collect()
+    assert sorted(r.v for r in g.vertices.collect()) == [1, 2, 3]
+    assert g.labels == ["a"]
+    g.edges = LabeledGraph.from_triples(spark, new).edges
+    assert sorted(r.v for r in g.vertices.collect()) == [5, 6, 7]
+    assert sorted(g.labels) == ["a", "b"]
+    for q in queries:
+        got = {
+            (r.start_v, r.end_v)
+            for r in RTCSharingEvaluator(g).evaluate(q).collect()
+        }
+        assert got == eval_rpq_python(new, parse(q)), q
 
 
 class TestPairHelpers:
