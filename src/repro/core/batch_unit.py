@@ -32,6 +32,16 @@ unit is one lazy plan; nothing here runs a Spark job:
 of the RPQ. The SCC and RTC relations carry broadcast hints when
 ``compute_rtc`` built them on the driver.
 
+Singleton SCCs (an extension beyond the paper). When every SCC of
+``G_R`` is a singleton, the SCC relation is the identity over
+``V(G_R)`` and the RTC is ``R+_G``, so eq (7) is ``Pre_G`` renamed (its
+distinct a no-op), eq (8) is ``Pre_G ⋈ R+_G`` deduplicated, and the
+last SCC join is again a rename; useless-2 elimination carries over
+(eq (8) is distinct). ``compute_rtc`` flags that case on the driver
+path by giving the ``RTC`` entry an ``RPlus`` view of its RTC, and
+``eval_batch_unit_rtc`` then returns FullSharing's unit over it:
+the same plan, Spark jobs and DataFrames as Full's.
+
 Prepared relations. A unit builds only the joins that read this RPQ's
 ``Pre_G``; everything else is built once, where it stops changing:
 
@@ -42,8 +52,9 @@ Prepared relations. A unit builds only the joins that read this RPQ's
   tail in that one layout (so Spark broadcasts it once per RPQ), and
   the RTC as ``(s, end_s)`` (``RTC.scc_by_v``/``rtc_by_s``);
 - per (R, Post), the tail ``(s, end_v)`` (``RTC.tail``);
-- for FullSharing, per R, ``R+_G`` both as is and as ``(end_v,
-  plus_end_v)`` for its join (``RPlus``).
+- for FullSharing, and for an RTC whose SCCs are all singletons, per
+  R, ``R+_G`` both as is and as ``(end_v, plus_end_v)`` for its join
+  (``RPlus``).
 
 Partitioning. Every label step of ``Pre_G`` and ``Post_G`` deduplicates
 after a ``repartition`` by its key column (``model.dedup_pairs``), so
@@ -64,21 +75,16 @@ one ``distinct``.
 """
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 # Not called here: kept as names rpqbench/spans.py wraps.
 from repro.core.edge_reduction import eval_kleene_free  # noqa: F401
 from repro.core.edge_reduction import extend_pairs
-from repro.core.rtc import RTC
+from repro.core.rtc import RTC, RPlus
 from repro.graph.iterate import materialize  # noqa: F401
 from repro.graph.model import PAIR_COLS, LabeledGraph
 from repro.rpq.ast import Epsilon, Regex
-
-if TYPE_CHECKING:
-    from repro.core.fullsharing import RPlus
 
 
 def eval_batch_unit_rtc(
@@ -90,6 +96,10 @@ def eval_batch_unit_rtc(
 ) -> DataFrame:
     """Algorithm 2 as one lazy plan. ``pre_g is None`` means Pre = ε, in
     which case ResEq7 is the SCC relation itself (Theorem 2)."""
+    if rtc.plus is not None:
+        # Every SCC of G_R is a singleton: the SCC joins are identities
+        # and the RTC is R+_G, so the pipeline is the vertex-level unit.
+        return eval_batch_unit_full(graph, pre_g, rtc.plus, kind, post)
     if pre_g is None:
         # Every vertex of G_R paired with its SCC; unique by
         # construction (one SCC per vertex).

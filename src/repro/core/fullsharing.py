@@ -9,18 +9,18 @@ Only when ``|R_G|`` or the running ``|R+_G|`` exceeds the same
 ``driver_row_bound`` does it fall back to the distributed semi-naive
 ``transitive_closure``. Each batch unit joins ``Pre_G`` against the
 full vertex-pair relation, performing the redundant-1/-2 and
-useless-1/-2 work that RTCSharing eliminates. The cache entry keeps
-``R+_G`` also in the shape that join reads, built once per R.
+useless-1/-2 work that RTCSharing eliminates. The cache entry
+(``repro.core.rtc.RPlus``) keeps ``R+_G`` also in the shape that join
+reads, built once per R.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core.base import MultiRPQEvaluator
 from repro.core.batch_unit import eval_batch_unit_full
+from repro.core.rtc import RPlus
 from repro.graph.closure import (
     bfs_closure,
     close_on_driver,
@@ -30,25 +30,6 @@ from repro.graph.closure import (
 # Not called here: kept as a name rpqbench/spans.py wraps.
 from repro.graph.iterate import materialize  # noqa: F401
 from repro.rpq.ast import Regex
-
-
-@dataclass
-class RPlus:
-    """The shared structure of FullSharing for one sub-query R.
-
-    - ``pairs``: ``(start_v, end_v)`` — ``R+_G`` itself, read as is when
-      Pre = ε.
-    - ``by_start``: ``(end_v, plus_end_v)`` — the same pairs named for
-      ``Pre_G ⋈ R+_G`` on ``end_v``, built once with them.
-    """
-
-    pairs: DataFrame
-    by_start: DataFrame = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.by_start = self.pairs.select(
-            F.col("start_v").alias("end_v"), F.col("end_v").alias("plus_end_v")
-        )
 
 
 class FullSharingEvaluator(MultiRPQEvaluator):

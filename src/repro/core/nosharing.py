@@ -11,7 +11,8 @@ query, which is exactly the repeated work Section II-C describes.
 """
 from __future__ import annotations
 
-from repro.core.fullsharing import FullSharingEvaluator, RPlus
+from repro.core.fullsharing import FullSharingEvaluator
+from repro.core.rtc import RPlus
 from repro.core.timing import PhaseTimings
 from repro.rpq.ast import Regex
 

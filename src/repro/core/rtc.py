@@ -9,6 +9,16 @@ prepares, once per R, what every batch unit over R reads: the SCC and
 RTC relations named for eqs (7) and (8), and the SCC-keyed Post tail
 per Post.
 
+When every SCC of ``G_R`` is a singleton (Tarjan finds as many
+components as vertices), the reduction contracts nothing: SCCs are
+named by their one member, so the SCC relation is the identity over
+``V(G_R)`` and ``TC(Ḡ_R)`` is ``R+_G`` pair for pair (Theorem 1 with
+``s = v``). The entry then prepares none of the SCC-keyed relations;
+it holds its RTC as an ``RPlus`` instead, and EvalBatchUnit runs the
+vertex-level unit over it (``repro.core.batch_unit``). This is an
+extension beyond the paper, which joins through the SCC relation
+even where it is the identity.
+
 As in the paper, this runs on one machine: ``R_G`` is collected to the
 driver and Tarjan's algorithm [14] finds the SCCs. Tarjan emits them in
 reverse topological order, so one pass over that order closes ``Ḡ_R``
@@ -37,16 +47,40 @@ from repro.rpq.ast import Epsilon, Regex
 
 
 @dataclass
+class RPlus:
+    """``R+_G`` shared for one sub-query R, as the vertex-level batch
+    unit reads it: FullSharing's entry, and the view of an RTC whose
+    SCCs are all singletons.
+
+    - ``pairs``: ``(start_v, end_v)`` — ``R+_G`` itself, read as is when
+      Pre = ε.
+    - ``by_start``: ``(end_v, plus_end_v)`` — the same pairs named for
+      ``Pre_G ⋈ R+_G`` on ``end_v``, built once with them.
+    """
+
+    pairs: DataFrame
+    by_start: DataFrame = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.by_start = self.pairs.select(
+            F.col("start_v").alias("end_v"), F.col("end_v").alias("plus_end_v")
+        )
+
+
+@dataclass
 class RTC:
     """The shared structure of RTCSharing for one sub-query R.
 
     - ``rtc``: ``(start_s, end_s)`` — ``TC(Ḡ_R)``, ≥1-step semantics.
     - ``scc``: ``(v, s)`` — the SCC relation of ``G_R`` (Section IV-B).
+    - ``plus``: set only when every SCC of ``G_R`` is a singleton: the
+      RTC viewed as ``R+_G`` (``(start_v, end_v)``), which it then
+      equals. Such an entry prepares nothing else.
 
-    Both carry a broadcast hint when built on the driver; the
-    distributed fallback's frames carry none. Built with them, once per
-    R, are the relations every batch unit over R joins, already named
-    for their joins:
+    ``rtc`` and ``scc`` carry a broadcast hint when built on the driver;
+    the distributed fallback's frames carry none. Built with them, once
+    per R and unless ``plus`` is set, are the relations every batch unit
+    over R joins, already named for their joins:
 
     - ``scc_by_v``: ``(end_v, s)``, read by eq (7) and as the seed of the
       tail. One layout and one join key (``end_v``), so Spark broadcasts
@@ -59,11 +93,14 @@ class RTC:
 
     rtc: DataFrame
     scc: DataFrame
+    plus: RPlus | None = None
     scc_by_v: DataFrame = field(init=False)
     rtc_by_s: DataFrame = field(init=False)
     _tails: dict[str, DataFrame] = field(init=False, default_factory=dict)
 
     def __post_init__(self) -> None:
+        if self.plus is not None:
+            return
         self.scc_by_v = self.scc.select(F.col("v").alias("end_v"), "s")
         self.rtc_by_s = self.rtc.select(F.col("start_s").alias("s"), "end_s")
 
@@ -98,13 +135,24 @@ def compute_rtc(r_g: DataFrame) -> RTC:
         return _compute_rtc_distributed(r_g)
     comp_of, reach = closed
     spark = r_g.sparkSession
+    rtc = driver_frame(
+        spark,
+        start_s=[s for s, r in reach.items() for _ in r],
+        end_s=[t for r in reach.values() for t in r],
+    )
+    # One component per vertex: every SCC is a singleton named by its
+    # member, so the RTC is R+_G itself.
+    plus = None
+    if len(reach) == len(comp_of):
+        plus = RPlus(
+            rtc.select(
+                F.col("start_s").alias("start_v"), F.col("end_s").alias("end_v")
+            )
+        )
     return RTC(
-        rtc=driver_frame(
-            spark,
-            start_s=[s for s, r in reach.items() for _ in r],
-            end_s=[t for r in reach.values() for t in r],
-        ),
+        rtc=rtc,
         scc=driver_frame(spark, v=list(comp_of), s=list(comp_of.values())),
+        plus=plus,
     )
 
 

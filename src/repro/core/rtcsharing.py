@@ -3,9 +3,11 @@
 Per batch unit ``Pre · R{+,*} · Post``: evaluate ``Pre`` recursively,
 look up (or compute and cache) the RTC for ``R`` — the SCC relation of
 ``G_R`` plus ``TC(Ḡ_R)`` — and run the optimized join pipeline of
-Algorithm 2. The RTC cache is the sharing mechanism: every RPQ in a
-multiple-RPQ set whose common sub-query is ``R+`` (or ``R*``) reuses
-one lightweight RTC instead of the heavyweight ``R+_G``.
+Algorithm 2 (the vertex-level unit when every SCC of ``G_R`` is a
+singleton: the RTC then is ``R+_G``). The RTC cache is the sharing
+mechanism: every RPQ in a multiple-RPQ set whose common sub-query is
+``R+`` (or ``R*``) reuses one lightweight RTC instead of the
+heavyweight ``R+_G``.
 """
 from __future__ import annotations
 

@@ -15,7 +15,9 @@ transitive closure below, the backward collect of the distributed SCC
 with their own ``step``. Only the newly discovered rows (the frontier)
 are stepped each round, and the frontier is anti-joined against
 everything reached so far, so each row is derived once. Each round is
-materialized (``localCheckpoint``) to truncate lineage.
+materialized (``localCheckpoint``) to truncate lineage; the frontier's
+checkpoint also counts its rows, so the emptiness test costs no job of
+its own.
 
 ``transitive_closure`` and ``bfs_closure`` compute all (src, dst)
 pairs connected by a path of **one or more** edges — the Kleene-plus
@@ -31,7 +33,7 @@ from typing import Callable, TypeVar
 import numpy as np
 import pandas as pd
 from pyspark import SparkContext
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame, Observation, SparkSession
 from pyspark.sql import functions as F
 
 from repro.graph.iterate import FixpointGuard, materialize
@@ -121,21 +123,27 @@ def semi_naive(
     """Every row reachable from the materialized ``seed`` by ``step``.
 
     ``step`` maps a frontier to candidate rows with the same columns in
-    the same order. Each round costs two checkpoints: the new frontier
-    (the distinct candidates not reached before) and the union of it
-    into the reached rows. Stops when the frontier is empty.
+    the same order. Each round checkpoints the new frontier (the
+    distinct candidates not reached before), counting its rows in that
+    same job through an ``Observation``, and stops when it is empty;
+    otherwise it checkpoints the union of it into the reached rows. A
+    seed that is empty costs one round that finds nothing.
     """
     reached = frontier = seed
     guard = FixpointGuard(what)
-    while not frontier.isEmpty():
+    while True:
         guard.tick()
+        # An Observation reports once, so each round needs its own.
+        found = Observation()
         frontier = materialize(
             step(frontier)
             .distinct()
             .join(reached, reached.columns, "left_anti")
+            .observe(found, F.count(F.lit(1)).alias("rows"))
         )
+        if found.get["rows"] == 0:
+            return reached
         reached = materialize(reached.union(frontier))
-    return reached
 
 
 def transitive_closure(edges: DataFrame) -> DataFrame:

@@ -8,6 +8,7 @@ from unittest import mock
 import pandas as pd
 from pyspark.sql.classic.dataframe import DataFrame
 
+from repro.graph.generators import labeled_multigraph
 from repro.pyref import Edge
 
 # Engineered so that G_{b.c} has exactly the Fig. 5 edge set
@@ -28,6 +29,51 @@ PAPER_EDGES: list[Edge] = [
     (6, "e", 7),
     (4, "e", 11),
 ]
+
+# Every SCC of G_a is a singleton: 1..4 on a chain, 1 and 2 with
+# self-loops. b and c edges frame (a)+ on both sides.
+SELF_LOOP_EDGES: list[Edge] = [
+    (1, "a", 1),
+    (1, "a", 2),
+    (2, "a", 2),
+    (2, "a", 3),
+    (3, "a", 4),
+    (0, "b", 1),
+    (5, "b", 2),
+    (0, "b", 3),
+    (2, "c", 6),
+    (4, "c", 7),
+    (1, "c", 8),
+]
+# G_a has the one 2-cycle {1, 2} among the singletons 3, 4 and 5.
+TWO_CYCLE_EDGES: list[Edge] = [
+    (1, "a", 2),
+    (2, "a", 1),
+    (2, "a", 3),
+    (3, "a", 4),
+    (5, "a", 4),
+    (0, "b", 1),
+    (0, "b", 5),
+    (6, "b", 3),
+    (2, "c", 7),
+    (4, "c", 8),
+    (3, "c", 1),
+]
+
+
+def forward_dag_edges(spark) -> list[Edge]:
+    """A small forward-ordered ``labeled_multigraph`` (labels l0..l3):
+    every ``G_R`` over it is acyclic, so each SCC is a singleton with no
+    self-loop."""
+    graph = labeled_multigraph(
+        spark,
+        n_vertices=24,
+        n_labels=4,
+        degree_per_label=1.5,
+        forward_bias=True,
+        seed=5,
+    )
+    return sorted(graph.triples())
 
 
 def random_labeled_edges(

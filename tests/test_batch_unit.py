@@ -16,8 +16,7 @@ import repro.core.rtc as rtc_module
 from repro.core import FullSharingEvaluator, PhaseTimings, RTCSharingEvaluator
 from repro.core.batch_unit import eval_batch_unit_full, eval_batch_unit_rtc
 from repro.core.edge_reduction import eval_kleene_free
-from repro.core.fullsharing import RPlus
-from repro.core.rtc import compute_rtc
+from repro.core.rtc import RPlus, compute_rtc
 from repro.graph.closure import transitive_closure
 from repro.graph.iterate import materialize
 from repro.graph.model import LabeledGraph
@@ -30,6 +29,8 @@ from tests.helpers import (
     batch_unit_sql,
     dataframes_built,
     edges_pdf,
+    forward_dag_edges,
+    spark_jobs,
 )
 
 
@@ -212,6 +213,23 @@ def test_reuse_rpq_dataframes_built(paper_graph, cls, built):
     ev.evaluate("d.(b.c)+.c")
     query = parse("d.(b.c)+.e")
     assert dataframes_built(lambda: ev._plan(query, PhaseTimings())) == built
+
+
+@pytest.mark.parametrize("query", ["(l0)+", "l1.(l0)+.l2"])
+def test_singleton_sccs_cost_what_full_costs(spark, make_graph, query):
+    """Deterministic counters on a DAG, where every SCC of G_R is a
+    singleton: RTC runs as many Spark jobs as Full for the first RPQ
+    over R (R_G, the shared build and the answer) and for a reuse RPQ,
+    and builds as many DataFrames for the reuse RPQ's plan."""
+    edges = make_graph(forward_dag_edges(spark)).edges
+    costs = {}
+    for cls in (RTCSharingEvaluator, FullSharingEvaluator):
+        ev = cls(LabeledGraph(materialize(edges)))
+        first = spark_jobs(spark, lambda: ev.evaluate(query))
+        reuse = spark_jobs(spark, lambda: ev.evaluate(query))
+        built = dataframes_built(lambda: ev._plan(parse(query), PhaseTimings()))
+        costs[cls.name] = (first, reuse, built)
+    assert costs["RTC"] == costs["Full"]
 
 
 def test_result_distinct(paper_graph, shared):

@@ -16,6 +16,7 @@ from repro.graph.iterate import FixpointGuard
 from repro.oracle import assert_equivalent
 from repro.pyref import transitive_closure_python
 from repro.rpq.parser import parse
+from tests.helpers import spark_jobs
 
 
 def tc_spark(spark, edges):
@@ -126,14 +127,23 @@ def fixpoint_counts(monkeypatch):
     return counts
 
 
-@pytest.mark.parametrize("n", [1, 4])
+# Spark jobs of the TC of an n-edge chain, at 8 shuffle partitions.
+CHAIN_TC_JOBS = {1: 5, 4: 24, 12: 72}
+
+
+@pytest.mark.parametrize("n", list(CHAIN_TC_JOBS))
 def test_chain_tc_rounds_and_checkpoints(spark, fixpoint_counts, n):
     """An n-edge chain closes in n rounds: one checkpoint for the base
-    edges, then one for the frontier and one for the union per round."""
+    edges, then one for the frontier per round and one for the union
+    per round that found rows — the last finds none. The frontier's
+    checkpoint also counts its rows, so no round runs a job to test
+    emptiness."""
     edges = [(i, i + 1) for i in range(n)]
-    got = tc_spark(spark, edges)
-    assert fixpoint_counts == {"rounds": n, "checkpoints": 1 + 2 * n}
-    assert got.count() == n * (n + 1) // 2
+    out = []
+    jobs = spark_jobs(spark, lambda: out.append(tc_spark(spark, edges)))
+    assert jobs == CHAIN_TC_JOBS[n]
+    assert fixpoint_counts == {"rounds": n, "checkpoints": 2 * n}
+    assert out[0].count() == n * (n + 1) // 2
 
 
 def test_automaton_rounds(paper_graph, fixpoint_counts):

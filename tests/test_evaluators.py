@@ -19,8 +19,11 @@ from repro.pyref import eval_rpq_python
 from repro.rpq.parser import parse
 from tests.helpers import (
     PAPER_EDGES,
+    SELF_LOOP_EDGES,
+    TWO_CYCLE_EDGES,
     batch_unit_sql,
     edges_pdf,
+    forward_dag_edges,
     random_labeled_edges,
 )
 
@@ -74,19 +77,49 @@ def test_random_graphs(make_graph, seed, text):
         assert rows(cls(g).evaluate(text)) == want, (cls.__name__, text)
 
 
-# One sequence that hits every memo of the prepared relations: one R with
-# two Posts, then a repeated Post (the RTC's SCC-keyed tails); Pre = ε
-# with R* (the zero branch is Post_G itself); a union Pre; a nested
-# closure. ``{r}`` is the shared body, ``{x}``, ``{y}``, ``{z}`` labels.
+# One sequence that hits every memo of the prepared relations and every
+# batch-unit shape: one R with two Posts, then a repeated Post (the RTC's
+# SCC-keyed tails); Pre = Post = ε; Pre = ε with R* (the zero branch is
+# Post_G itself); a union Pre; a nested closure. ``{r}`` is the shared
+# body, ``{x}``, ``{y}``, ``{z}`` labels.
 MEMO_SEQUENCE = [
     "{x}.({r})+.{y}",
     "{x}.({r})+.{z}",
     "{z}.({r})+.{y}",
+    "({r})+",
     "({r})*.{y}",
     "({r})*",
     "({x}|{z}).({r})+.{y}",
     "{x}.({r})+.({r})*",
 ]
+
+# Per graph of the sequence: whether every SCC of its G_R is a
+# singleton, so that the RTC entry holds R+_G and builds no tails.
+# Random seed 107's G_{a.b} is all singletons; seed 101's has the SCC
+# {4, 5, 8}.
+MEMO_SINGLETONS = {
+    "paper": False,
+    "random": True,
+    "random_scc": False,
+    "dag": True,
+    "self_loops": True,
+    "two_cycle": False,
+}
+
+
+def memo_edges(spark, graph):
+    if graph == "paper":
+        return PAPER_EDGES
+    if graph == "dag":
+        return forward_dag_edges(spark)
+    if graph == "self_loops":
+        return SELF_LOOP_EDGES
+    if graph == "two_cycle":
+        return TWO_CYCLE_EDGES
+    seed = 107 if graph == "random" else 101
+    return random_labeled_edges(
+        n_vertices=9, n_edges=24, labels="abc", seed=seed
+    )
 
 
 @pytest.mark.parametrize(
@@ -94,18 +127,18 @@ MEMO_SEQUENCE = [
     [
         ("paper", dict(r="b.c", x="d", y="e", z="c")),
         ("random", dict(r="a.b", x="c", y="a", z="b")),
+        ("random_scc", dict(r="a.b", x="c", y="a", z="b")),
+        ("dag", dict(r="l0", x="l1", y="l2", z="l3")),
+        ("self_loops", dict(r="a", x="b", y="c", z="a")),
+        ("two_cycle", dict(r="a", x="b", y="c", z="a")),
     ],
 )
-def test_memo_hits_agree_with_reference(make_graph, graph, names):
+def test_memo_hits_agree_with_reference(spark, make_graph, graph, names):
     """RTC ≡ Full ≡ No ≡ pyref on one evaluator per method, run through
-    a sequence whose later queries reuse prepared relations."""
-    edges = (
-        PAPER_EDGES
-        if graph == "paper"
-        else random_labeled_edges(
-            n_vertices=9, n_edges=24, labels="abc", seed=107
-        )
-    )
+    a sequence whose later queries reuse prepared relations. An RTC
+    entry over a G_R with a multi-vertex SCC memoizes one tail per
+    Post; one whose SCCs are all singletons holds R+_G instead."""
+    edges = memo_edges(spark, graph)
     g = make_graph(edges)
     evaluators = [cls(g) for cls in ALL_EVALUATORS]
     for template in MEMO_SEQUENCE:
@@ -114,7 +147,11 @@ def test_memo_hits_agree_with_reference(make_graph, graph, names):
         for ev in evaluators:
             assert rows(ev.evaluate(text)) == want, (ev.name, text)
     rtc = evaluators[0]._shared[parse(names["r"]).canon()]
-    assert {names["y"], names["z"], "eps"} <= set(rtc._tails)
+    if MEMO_SINGLETONS[graph]:
+        assert rtc.plus is not None and not rtc._tails
+    else:
+        assert rtc.plus is None
+        assert {names["y"], names["z"], "eps"} <= set(rtc._tails)
 
 
 @pytest.mark.parametrize("text", ["(zz)+", "a.(zz)*.b", "(zz)*.a"])

@@ -149,6 +149,28 @@ def test_driver_path_matches_distributed_fallback(
     }
 
 
+# The graphs of R_G_GRAPHS whose SCCs are all singletons.
+SINGLETON_SCCS = {"dag_chain", "self_loops_only", "empty"}
+
+
+@pytest.mark.parametrize("name", list(R_G_GRAPHS))
+def test_singleton_sccs_make_the_rtc_r_plus(spark, name):
+    """On the driver path, an entry whose SCCs are all singletons holds
+    its RTC as R+_G, which it then equals pair for pair — a self-loop
+    included — and prepares no SCC-keyed relation; any other entry
+    holds none."""
+    edges = sorted(set(R_G_GRAPHS[name]))
+    rtc = compute_rtc(r_g_frame(spark, edges))
+    if name not in SINGLETON_SCCS:
+        assert rtc.plus is None
+        return
+    want = transitive_closure_python(edges)
+    assert {tuple(r) for r in rtc.plus.pairs.collect()} == want
+    assert {tuple(r) for r in rtc.rtc.collect()} == want
+    assert rtc.plus.pairs.columns == ["start_v", "end_v"]
+    assert not hasattr(rtc, "scc_by_v") and not hasattr(rtc, "rtc_by_s")
+
+
 def test_driver_path_stops_when_rtc_passes_bound(
     spark, monkeypatch, fallback_calls
 ):
