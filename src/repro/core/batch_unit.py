@@ -37,10 +37,10 @@ Singleton SCCs (an extension beyond the paper). When every SCC of
 ``V(G_R)`` and the RTC is ``R+_G``, so eq (7) is ``Pre_G`` renamed (its
 distinct a no-op), eq (8) is ``Pre_G ⋈ R+_G`` deduplicated, and the
 last SCC join is again a rename; useless-2 elimination carries over
-(eq (8) is distinct). ``compute_rtc`` flags that case on the driver
-path by giving the ``RTC`` entry an ``RPlus`` view of its RTC, and
-``eval_batch_unit_rtc`` then returns FullSharing's unit over it:
-the same plan, Spark jobs and DataFrames as Full's.
+(eq (8) is distinct). ``compute_rtc`` detects that case on the driver
+path and returns the RTC as an ``RPlus``; ``eval_batch_unit_rtc`` then
+returns FullSharing's unit over it: the same plan, Spark jobs and
+DataFrames as Full's.
 
 Prepared relations. A unit builds only the joins that read this RPQ's
 ``Pre_G``; everything else is built once, where it stops changing:
@@ -56,15 +56,26 @@ Prepared relations. A unit builds only the joins that read this RPQ's
   R, ``R+_G`` both as is and as ``(end_v, plus_end_v)`` for its join
   (``RPlus``).
 
-Partitioning. Every label step of ``Pre_G`` and ``Post_G`` deduplicates
-after a ``repartition`` by its key column (``model.dedup_pairs``), so
-``Pre_G`` arrives hash-partitioned by ``start_v``. The joins of eqs (7)
-and (8) are broadcast joins, which keep that partitioning, and both
-distincts group by ``(start_v, s)``, so neither needs an exchange. The
-tail is likewise partitioned by ``s``, so ``ResEq8 ⋈ tail`` shuffles
-only ResEq8. The price: each label step shuffles its raw join output
-instead of a partial aggregate, which costs more where one step yields
-many duplicate pairs.
+Partitioning. A label step shuffles only for a consumer that reads
+its partitioning (``edge_reduction._chain``, ``model.dedup_pairs``);
+elsewhere it deduplicates in place, aggregating each partition before
+any shuffle. Three consumers read one:
+
+- eqs (7)–(8) and Full's ``Pre_G ⋈ R+_G``: ``Pre_G`` arrives
+  hash-partitioned by ``start_v``; the joins are broadcast joins, which
+  keep that partitioning, and the distincts group by ``(start_v, s)``
+  (or ``(start_v, end_v)``), so none needs an exchange;
+- ``ResEq8 ⋈ tail``: the tail is partitioned by ``s``, so the join
+  shuffles only ResEq8;
+- the ``R*`` zero branch with Pre = ε: it starts from the label's
+  prepared frame, partitioned by ``start_v``, so Full's other branch —
+  whose broadcast join leaves its rows unclustered — is deduplicated by
+  ``start_v`` too, and the final ``distinct`` over their union needs no
+  exchange.
+
+A step that another label join follows is partitioned by ``end_v``, the
+join's key. Every other step — Full's Post join from ``Pre_G ⋈ R+_G``,
+say — deduplicates where its join left the rows.
 
 The FullSharing variant evaluates the same batch unit with the shared
 ``R+_G`` and a plain pair-level join — the unoptimized pipeline the
@@ -90,16 +101,16 @@ from repro.rpq.ast import Epsilon, Regex
 def eval_batch_unit_rtc(
     graph: LabeledGraph,
     pre_g: DataFrame | None,
-    rtc: RTC,
+    rtc: RTC | RPlus,
     kind: str,
     post: Regex,
 ) -> DataFrame:
     """Algorithm 2 as one lazy plan. ``pre_g is None`` means Pre = ε, in
     which case ResEq7 is the SCC relation itself (Theorem 2)."""
-    if rtc.plus is not None:
+    if isinstance(rtc, RPlus):
         # Every SCC of G_R is a singleton: the SCC joins are identities
         # and the RTC is R+_G, so the pipeline is the vertex-level unit.
-        return eval_batch_unit_full(graph, pre_g, rtc.plus, kind, post)
+        return eval_batch_unit_full(graph, pre_g, rtc, kind, post)
     if pre_g is None:
         # Every vertex of G_R paired with its SCC; unique by
         # construction (one SCC per vertex).
@@ -149,9 +160,11 @@ def eval_batch_unit_full(
             .distinct()
         )
     # R+_G and joined are distinct, so with kind + and Post = ε so is out.
-    return _finish(
-        graph, extend_pairs(graph, joined, post), pre_g, kind, post
+    # Keyed like the zero branch it is unioned with (see _finish).
+    out = extend_pairs(
+        graph, joined, post, keyed=kind == "*" and pre_g is None
     )
+    return _finish(graph, out, pre_g, kind, post)
 
 
 def _finish(
@@ -166,9 +179,13 @@ def _finish(
     construction there)."""
     if kind == "*":
         # Zero iterations of R: (Pre·Post)_G at vertex level. With
-        # Pre = ε that is Post_G itself, from every vertex; the identity
-        # over V is built only when Post = ε too.
-        out = out.union(extend_pairs(graph, pre_g, post))
+        # Pre = ε that is Post_G itself, from every vertex, whose first
+        # frame is partitioned by start_v: keyed, so that a branch
+        # keyed alike stays co-partitioned with it. The identity over V
+        # is built only when Post = ε too.
+        out = out.union(
+            extend_pairs(graph, pre_g, post, keyed=pre_g is None)
+        )
     if kind == "*" or not isinstance(post, Epsilon):
         out = out.distinct()
     return out

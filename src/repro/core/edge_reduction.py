@@ -47,10 +47,14 @@ def eval_kleene_free(graph: LabeledGraph, regex: Regex) -> DataFrame:
     """Evaluate a closure-free RPQ as label-join chains, as a lazy plan.
 
     The plan yields distinct ``(start_v, end_v)`` pairs, hash-partitioned
-    by ``start_v`` when ``regex`` has one label sequence. For the ε
+    by ``start_v`` (a union of sequences keeps that partitioning), as
+    eqs (7)–(8) and Full's ``Pre_G ⋈ R+_G`` read a ``Pre_G``. For the ε
     expression it is the identity relation over V.
     """
-    parts = [_chain(graph, None, seq) for seq in label_sequences(regex)]
+    parts = [
+        _chain(graph, None, seq, "start_v", keyed=True)
+        for seq in label_sequences(regex)
+    ]
     if len(parts) == 1:
         return parts[0]
     return union_all(parts, lambda: empty_pairs(graph.spark)).distinct()
@@ -61,6 +65,8 @@ def extend_pairs(
     pairs: DataFrame | None,
     regex: Regex,
     key: str = "start_v",
+    *,
+    keyed: bool = False,
 ) -> DataFrame:
     """``pairs ⋈ regex_G`` on ``end_v``, as a lazy plan of ``(key,
     end_v)`` rows.
@@ -69,13 +75,17 @@ def extend_pairs(
     ``regex`` — restricted evaluation keyed by whatever ``key`` holds.
     Each label join is followed by a ``distinct``; the union across
     sequences is left to the caller to deduplicate, together with
-    whatever else it unions in. For ε the result is ``pairs`` itself.
-    ``pairs=None`` stands for the identity over V, "from every vertex":
-    the result is then ``regex_G``, and the identity is built only for
-    an ε sequence.
+    whatever else it unions in. ``keyed`` says whether that consumer
+    reads the rows hash-partitioned by ``key`` (see ``_chain``). For ε
+    the result is ``pairs`` itself. ``pairs=None`` stands for the
+    identity over V, "from every vertex": the result is then
+    ``regex_G``, and the identity is built only for an ε sequence.
     """
     return union_all(
-        [_chain(graph, pairs, seq, key) for seq in label_sequences(regex)],
+        [
+            _chain(graph, pairs, seq, key, keyed)
+            for seq in label_sequences(regex)
+        ],
         lambda: empty_pairs(graph.spark),
     )
 
@@ -84,22 +94,34 @@ def _chain(
     graph: LabeledGraph,
     pairs: DataFrame | None,
     labels: tuple[str, ...],
-    key: str = "start_v",
+    key: str,
+    keyed: bool,
 ) -> DataFrame:
     """Extend ``(key, end_v)`` pairs along ``labels``, one label join
     and one ``distinct`` per label; ``pairs=None`` starts from the
     graph's prepared frame of the first label (or the identity over V
-    when ``labels`` is empty)."""
+    when ``labels`` is empty).
+
+    Each step shuffles only for a consumer that reads its partitioning.
+    A step that another label join follows is hash-partitioned by
+    ``end_v``, that join's key, so the join shuffles only its label
+    side. The last step is partitioned by ``key`` when ``keyed`` — its
+    consumer joins or groups on ``key``, or unions it with a branch so
+    partitioned — and is otherwise deduplicated in place
+    (``dedup_pairs``). A chain of one label from every vertex is the
+    prepared frame, partitioned by ``start_v`` either way.
+    """
     if pairs is None:
         if not labels:
             return identity_pairs(graph.vertices)
-        pairs, labels = graph.label_pairs(labels[0]), labels[1:]
-    for label in labels:
+        first, labels = labels[0], labels[1:]
+        pairs = graph.label_pairs(first, "end_v" if labels else "start_v")
+    for i, label in enumerate(labels, 1):
         pairs = dedup_pairs(
             pairs.join(graph.label_steps(label), "end_v").select(
                 key, F.col("next_v").alias("end_v")
             ),
-            key,
+            "end_v" if i < len(labels) else (key if keyed else None),
         )
     return pairs
 

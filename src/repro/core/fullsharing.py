@@ -63,4 +63,4 @@ class FullSharingEvaluator(MultiRPQEvaluator):
 
     def shared_data_size(self) -> int:
         # Counted here, not in the query path: the count is bookkeeping.
-        return sum(r_plus.pairs.count() for r_plus in self._shared.values())
+        return sum(r_plus.n_pairs() for r_plus in self._shared.values())

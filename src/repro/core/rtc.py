@@ -13,9 +13,10 @@ When every SCC of ``G_R`` is a singleton (Tarjan finds as many
 components as vertices), the reduction contracts nothing: SCCs are
 named by their one member, so the SCC relation is the identity over
 ``V(G_R)`` and ``TC(Ḡ_R)`` is ``R+_G`` pair for pair (Theorem 1 with
-``s = v``). The entry then prepares none of the SCC-keyed relations;
-it holds its RTC as an ``RPlus`` instead, and EvalBatchUnit runs the
-vertex-level unit over it (``repro.core.batch_unit``). This is an
+``s = v``). ``compute_rtc`` then returns the RTC as an ``RPlus``
+built straight from the driver's lists, with no SCC relation and none
+of the SCC-keyed ones, and EvalBatchUnit runs the vertex-level unit
+over it (``repro.core.batch_unit``). This is an
 extension beyond the paper, which joins through the SCC relation
 even where it is the identity.
 
@@ -49,8 +50,8 @@ from repro.rpq.ast import Epsilon, Regex
 @dataclass
 class RPlus:
     """``R+_G`` shared for one sub-query R, as the vertex-level batch
-    unit reads it: FullSharing's entry, and the view of an RTC whose
-    SCCs are all singletons.
+    unit reads it: FullSharing's entry, and RTCSharing's when every SCC
+    of ``G_R`` is a singleton (its RTC then is ``R+_G``).
 
     - ``pairs``: ``(start_v, end_v)`` — ``R+_G`` itself, read as is when
       Pre = ε.
@@ -66,6 +67,10 @@ class RPlus:
             F.col("start_v").alias("end_v"), F.col("end_v").alias("plus_end_v")
         )
 
+    def n_pairs(self) -> int:
+        """Shared-data size: |R+_G|."""
+        return self.pairs.count()
+
 
 @dataclass
 class RTC:
@@ -73,14 +78,11 @@ class RTC:
 
     - ``rtc``: ``(start_s, end_s)`` — ``TC(Ḡ_R)``, ≥1-step semantics.
     - ``scc``: ``(v, s)`` — the SCC relation of ``G_R`` (Section IV-B).
-    - ``plus``: set only when every SCC of ``G_R`` is a singleton: the
-      RTC viewed as ``R+_G`` (``(start_v, end_v)``), which it then
-      equals. Such an entry prepares nothing else.
 
     ``rtc`` and ``scc`` carry a broadcast hint when built on the driver;
     the distributed fallback's frames carry none. Built with them, once
-    per R and unless ``plus`` is set, are the relations every batch unit
-    over R joins, already named for their joins:
+    per R, are the relations every batch unit over R joins, already
+    named for their joins:
 
     - ``scc_by_v``: ``(end_v, s)``, read by eq (7) and as the seed of the
       tail. One layout and one join key (``end_v``), so Spark broadcasts
@@ -88,19 +90,17 @@ class RTC:
     - ``rtc_by_s``: ``(s, end_s)``, read by eq (8).
     - ``tail(graph, post)``: the SCC-keyed Post tail
       ``π_{s,post_end}(SCC ⋈ Post_G)`` as ``(s, end_v)``, a lazy plan
-      built once per ``Post``.
+      built once per ``Post`` and hash-partitioned by ``s`` for its
+      join with ResEq8.
     """
 
     rtc: DataFrame
     scc: DataFrame
-    plus: RPlus | None = None
     scc_by_v: DataFrame = field(init=False)
     rtc_by_s: DataFrame = field(init=False)
     _tails: dict[str, DataFrame] = field(init=False, default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.plus is not None:
-            return
         self.scc_by_v = self.scc.select(F.col("v").alias("end_v"), "s")
         self.rtc_by_s = self.rtc.select(F.col("start_s").alias("s"), "end_s")
 
@@ -114,7 +114,7 @@ class RTC:
             self._tails[key] = (
                 self.scc_by_v.select("s", "end_v")
                 if isinstance(post, Epsilon)
-                else extend_pairs(graph, self.scc_by_v, post, "s")
+                else extend_pairs(graph, self.scc_by_v, post, "s", keyed=True)
             )
         return self._tails[key]
 
@@ -123,8 +123,9 @@ class RTC:
         return self.rtc.count()
 
 
-def compute_rtc(r_g: DataFrame) -> RTC:
-    """Build the RTC from ``R_G`` pairs ``(start_v, end_v)``.
+def compute_rtc(r_g: DataFrame) -> RTC | RPlus:
+    """Build the RTC from ``R_G`` pairs ``(start_v, end_v)``; an
+    ``RPlus`` when the driver finds every SCC of ``G_R`` a singleton.
 
     ``R_G`` is exactly ``E_R`` (every pair becomes one unlabeled edge);
     vertices of ``G_R`` are only those incident to such an edge, so no
@@ -135,24 +136,15 @@ def compute_rtc(r_g: DataFrame) -> RTC:
         return _compute_rtc_distributed(r_g)
     comp_of, reach = closed
     spark = r_g.sparkSession
-    rtc = driver_frame(
-        spark,
-        start_s=[s for s, r in reach.items() for _ in r],
-        end_s=[t for r in reach.values() for t in r],
-    )
+    starts = [s for s, r in reach.items() for _ in r]
+    ends = [t for r in reach.values() for t in r]
     # One component per vertex: every SCC is a singleton named by its
     # member, so the RTC is R+_G itself.
-    plus = None
     if len(reach) == len(comp_of):
-        plus = RPlus(
-            rtc.select(
-                F.col("start_s").alias("start_v"), F.col("end_s").alias("end_v")
-            )
-        )
+        return RPlus(driver_frame(spark, start_v=starts, end_v=ends))
     return RTC(
-        rtc=rtc,
+        rtc=driver_frame(spark, start_s=starts, end_s=ends),
         scc=driver_frame(spark, v=list(comp_of), s=list(comp_of.values())),
-        plus=plus,
     )
 
 

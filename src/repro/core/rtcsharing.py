@@ -15,7 +15,7 @@ from pyspark.sql import DataFrame
 
 from repro.core.base import MultiRPQEvaluator
 from repro.core.batch_unit import eval_batch_unit_rtc
-from repro.core.rtc import RTC, compute_rtc
+from repro.core.rtc import RTC, RPlus, compute_rtc
 from repro.rpq.ast import Regex
 
 
@@ -24,11 +24,15 @@ class RTCSharingEvaluator(MultiRPQEvaluator):
 
     name = "RTC"
 
-    def _build_shared(self, r_g: DataFrame) -> RTC:
+    def _build_shared(self, r_g: DataFrame) -> RTC | RPlus:
         return compute_rtc(r_g)
 
     def _eval_unit(
-        self, pre_g: DataFrame | None, rtc: RTC, kind: str, post: Regex
+        self,
+        pre_g: DataFrame | None,
+        rtc: RTC | RPlus,
+        kind: str,
+        post: Regex,
     ) -> DataFrame:
         return eval_batch_unit_rtc(self.graph, pre_g, rtc, kind, post)
 

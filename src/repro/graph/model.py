@@ -98,11 +98,13 @@ class LabeledGraph:
         e = self.edges
         return e.where(e["label"] == label).select("src", "dst")
 
-    def label_pairs(self, label: str) -> DataFrame:
+    def label_pairs(self, label: str, key: str = "start_v") -> DataFrame:
         """``label_G`` as distinct ``(start_v, end_v)`` pairs,
-        hash-partitioned by ``start_v``: the first step of a label
-        chain. Built once per label."""
-        return self._label_frame("pairs", label)
+        hash-partitioned by ``key``: the first step of a label chain, by
+        ``start_v`` where it is also the last and by ``end_v`` where a
+        label join on ``end_v`` follows. Built once per label and
+        key."""
+        return self._label_frame(key, label)
 
     def label_steps(self, label: str) -> DataFrame:
         """``label_G`` as ``(end_v, next_v)``: the right side of a label
@@ -117,16 +119,17 @@ class LabeledGraph:
         key = (kind, label)
         if key not in self._label_frames:
             e = self.edges_for_label(label)
-            if kind == "pairs":
+            if kind == "steps":
+                frame = e.select(
+                    F.col("src").alias("end_v"), F.col("dst").alias("next_v")
+                )
+            else:
                 frame = dedup_pairs(
                     e.select(
                         F.col("src").alias("start_v"),
                         F.col("dst").alias("end_v"),
-                    )
-                )
-            else:
-                frame = e.select(
-                    F.col("src").alias("end_v"), F.col("dst").alias("next_v")
+                    ),
+                    kind,
                 )
             self._label_frames[key] = frame
         return self._label_frames[key]
@@ -158,12 +161,18 @@ def identity_pairs(vertices: DataFrame) -> DataFrame:
     )
 
 
-def dedup_pairs(pairs: DataFrame, key: str = "start_v") -> DataFrame:
-    """Distinct rows of ``pairs``, hash-partitioned by ``key``. Every
-    operator that keeps ``key`` and is not a shuffle join — the
-    broadcast joins and ``distinct``s of eqs (7)–(8), a join keyed on
-    ``key`` — then needs no exchange of its own."""
-    return pairs.repartition(key).distinct()
+def dedup_pairs(pairs: DataFrame, key: str | None = None) -> DataFrame:
+    """Distinct rows of ``pairs``.
+
+    With ``key``, hash-partitioned by it first, for a consumer that
+    joins or groups on ``key``: every operator that keeps ``key`` and is
+    not a shuffle join on another column — the broadcast joins and
+    ``distinct``s of eqs (7)–(8), a join keyed on ``key``, a union with
+    a branch partitioned alike — then needs no exchange of its own.
+    Without, the rows are deduplicated where they are: Spark aggregates
+    each partition before it shuffles, and shuffles nothing where the
+    input already satisfies the distinct (a single partition, say)."""
+    return pairs.distinct() if key is None else pairs.repartition(key).distinct()
 
 
 def empty_pairs(spark: SparkSession) -> DataFrame:

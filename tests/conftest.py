@@ -18,6 +18,17 @@ def spark():
     s.stop()
 
 
+@pytest.fixture
+def one_shuffle_partition(spark):
+    """Runs a test at 1 shuffle partition, as the benchmark does, and
+    restores the session's setting after it."""
+    key = "spark.sql.shuffle.partitions"
+    saved = spark.conf.get(key)
+    spark.conf.set(key, "1")
+    yield
+    spark.conf.set(key, saved)
+
+
 @pytest.fixture(scope="session")
 def paper_graph(spark) -> LabeledGraph:
     return LabeledGraph.from_triples(spark, PAPER_EDGES)

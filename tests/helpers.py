@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from unittest import mock
 
 import pandas as pd
@@ -228,3 +229,19 @@ def dataframes_built(fn) -> int:
     with mock.patch.object(DataFrame, "__init__", spy):
         fn()
     return built
+
+
+def final_exchanges(df) -> list[str]:
+    """The shuffle-exchange lines of ``df``'s final adaptive plan.
+
+    ``df`` must have run (collected or checkpointed), so that adaptive
+    execution has fixed its plan, which it prints before the initial
+    one. Broadcast exchanges and reused exchanges shuffle nothing new
+    and are not counted."""
+    plan = df._jdf.queryExecution().executedPlan().toString()
+    final = plan.split("== Initial Plan ==")[0]
+    return [
+        line
+        for line in final.splitlines()
+        if re.search(r"(?<![A-Za-z])Exchange ", line)
+    ]

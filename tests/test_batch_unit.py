@@ -29,6 +29,7 @@ from tests.helpers import (
     batch_unit_sql,
     dataframes_built,
     edges_pdf,
+    final_exchanges,
     forward_dag_edges,
     spark_jobs,
 )
@@ -195,12 +196,12 @@ def test_reuse_rpq_plan_shape_and_jobs(spark, paper_graph, materialized):
     ]
     assert len(eq78) == 4
     assert not any("Exchange" in line for line in final[eq78[0] : eq78[-1]])
-    assert sum("Exchange hashpartitioning" in line for line in final) == 4
+    assert len(final_exchanges(materialized[-1])) == 4
     assert n_jobs == 7
 
 
 @pytest.mark.parametrize(
-    "cls,built", [(RTCSharingEvaluator, 32), (FullSharingEvaluator, 22)]
+    "cls,built", [(RTCSharingEvaluator, 32), (FullSharingEvaluator, 20)]
 )
 def test_reuse_rpq_dataframes_built(paper_graph, cls, built):
     """Deterministic counter of plan building: the DataFrames constructed
@@ -230,6 +231,43 @@ def test_singleton_sccs_cost_what_full_costs(spark, make_graph, query):
         built = dataframes_built(lambda: ev._plan(parse(query), PhaseTimings()))
         costs[cls.name] = (first, reuse, built)
     assert costs["RTC"] == costs["Full"]
+
+
+@pytest.mark.parametrize("one_partition", [False, True])
+def test_closure_free_chain_shuffles_each_step_once(
+    request, paper_graph, one_partition
+):
+    """A chain of three labels: each intermediate step is deduplicated
+    after a repartition by end_v, the key of the join that follows, so
+    the joins shuffle only their label sides (2 exchanges) and each step
+    one more (3): no exchange between a distinct and the next join."""
+    if one_partition:
+        request.getfixturevalue("one_shuffle_partition")
+    graph = LabeledGraph(materialize(paper_graph.edges))
+    out = eval_kleene_free(graph, parse("d.b.c"))
+    assert rows(out) == eval_rpq_python(PAPER_EDGES, parse("d.b.c"))
+    exchanges = final_exchanges(out)
+    assert sum("ENSURE_REQUIREMENTS" in line for line in exchanges) == 2
+    assert len(exchanges) == 5
+
+
+@pytest.mark.parametrize("one_partition", [False, True])
+def test_star_with_empty_pre_keeps_zero_branch_copartitioned(
+    request, paper_graph, one_partition
+):
+    """Full's (b.c)*.e: the R+_G ⋈ Post_G branch follows a broadcast join,
+    so it is partitioned by start_v like the zero branch, the prepared
+    Post_G; the final distinct over their union shuffles nothing, and
+    only the two repartitions are exchanges."""
+    if one_partition:
+        request.getfixturevalue("one_shuffle_partition")
+    ev = FullSharingEvaluator(LabeledGraph(materialize(paper_graph.edges)))
+    ev.evaluate("d.(b.c)+.c")
+    plan = ev._plan(parse("(b.c)*.e"), PhaseTimings())
+    assert rows(plan) == eval_rpq_python(PAPER_EDGES, parse("(b.c)*.e"))
+    exchanges = final_exchanges(plan)
+    assert len(exchanges) == 2
+    assert all("REPARTITION_BY_COL" in line for line in exchanges)
 
 
 def test_result_distinct(paper_graph, shared):

@@ -14,6 +14,7 @@ from repro.core import (
     RTCSharingEvaluator,
 )
 from repro.core.edge_reduction import eval_rpq_automaton
+from repro.core.rtc import RPlus
 from repro.oracle import assert_equivalent
 from repro.pyref import eval_rpq_python
 from repro.rpq.parser import parse
@@ -94,7 +95,7 @@ MEMO_SEQUENCE = [
 ]
 
 # Per graph of the sequence: whether every SCC of its G_R is a
-# singleton, so that the RTC entry holds R+_G and builds no tails.
+# singleton, so that the RTC entry is R+_G and builds no tails.
 # Random seed 107's G_{a.b} is all singletons; seed 101's has the SCC
 # {4, 5, 8}.
 MEMO_SINGLETONS = {
@@ -122,24 +123,38 @@ def memo_edges(spark, graph):
     )
 
 
-@pytest.mark.parametrize(
-    "graph,names",
-    [
-        ("paper", dict(r="b.c", x="d", y="e", z="c")),
-        ("random", dict(r="a.b", x="c", y="a", z="b")),
-        ("random_scc", dict(r="a.b", x="c", y="a", z="b")),
-        ("dag", dict(r="l0", x="l1", y="l2", z="l3")),
-        ("self_loops", dict(r="a", x="b", y="c", z="a")),
-        ("two_cycle", dict(r="a", x="b", y="c", z="a")),
-    ],
-)
+MEMO_GRAPHS = [
+    ("paper", dict(r="b.c", x="d", y="e", z="c")),
+    ("random", dict(r="a.b", x="c", y="a", z="b")),
+    ("random_scc", dict(r="a.b", x="c", y="a", z="b")),
+    ("dag", dict(r="l0", x="l1", y="l2", z="l3")),
+    ("self_loops", dict(r="a", x="b", y="c", z="a")),
+    ("two_cycle", dict(r="a", x="b", y="c", z="a")),
+]
+
+
+@pytest.mark.parametrize("graph,names", MEMO_GRAPHS)
 def test_memo_hits_agree_with_reference(spark, make_graph, graph, names):
     """RTC ≡ Full ≡ No ≡ pyref on one evaluator per method, run through
     a sequence whose later queries reuse prepared relations. An RTC
     entry over a G_R with a multi-vertex SCC memoizes one tail per
-    Post; one whose SCCs are all singletons holds R+_G instead."""
+    Post; where its SCCs are all singletons, the entry is R+_G."""
     edges = memo_edges(spark, graph)
-    g = make_graph(edges)
+    check_memo_sequence(make_graph(edges), edges, graph, names)
+
+
+@pytest.mark.parametrize("graph,names", MEMO_GRAPHS)
+def test_memo_hits_agree_at_one_partition(
+    spark, make_graph, one_shuffle_partition, graph, names
+):
+    """The same sequence at 1 shuffle partition, the benchmark's setting:
+    there a repartition plans as a single partition, which every later
+    operator accepts, while the label joins still shuffle."""
+    edges = memo_edges(spark, graph)
+    check_memo_sequence(make_graph(edges), edges, graph, names)
+
+
+def check_memo_sequence(g, edges, graph, names):
     evaluators = [cls(g) for cls in ALL_EVALUATORS]
     for template in MEMO_SEQUENCE:
         text = template.format(**names)
@@ -147,17 +162,16 @@ def test_memo_hits_agree_with_reference(spark, make_graph, graph, names):
         for ev in evaluators:
             assert rows(ev.evaluate(text)) == want, (ev.name, text)
     rtc = evaluators[0]._shared[parse(names["r"]).canon()]
-    if MEMO_SINGLETONS[graph]:
-        assert rtc.plus is not None and not rtc._tails
-    else:
-        assert rtc.plus is None
+    assert isinstance(rtc, RPlus) == MEMO_SINGLETONS[graph]
+    if not MEMO_SINGLETONS[graph]:
         assert {names["y"], names["z"], "eps"} <= set(rtc._tails)
 
 
 @pytest.mark.parametrize("text", ["(zz)+", "a.(zz)*.b", "(zz)*.a"])
 def test_closure_body_with_no_edges(make_graph, text):
-    """``zz`` is not in Σ: R_G, the SCC relation and the RTC are empty,
-    with their exact schemas, and the answers still agree."""
+    """``zz`` is not in Σ: R_G is empty, so every SCC (there are none)
+    is a singleton and the RTC entry is an empty R+_G, with its exact
+    schema; the answers still agree."""
     edges = random_labeled_edges(
         n_vertices=9, n_edges=20, labels="ab", seed=100
     )
@@ -167,11 +181,11 @@ def test_closure_body_with_no_edges(make_graph, text):
     assert rows(ev.evaluate(text)) == want
     assert rows(FullSharingEvaluator(g).evaluate(text)) == want
     (rtc,) = ev._shared.values()
-    assert rtc.scc.schema.simpleString() == "struct<v:bigint,s:bigint>"
+    assert isinstance(rtc, RPlus)
     assert (
-        rtc.rtc.schema.simpleString() == "struct<start_s:bigint,end_s:bigint>"
+        rtc.pairs.schema.simpleString() == "struct<start_v:bigint,end_v:bigint>"
     )
-    assert rtc.scc.isEmpty() and rtc.rtc.isEmpty()
+    assert rtc.pairs.isEmpty()
 
 
 def test_oracle_full_batch_unit(paper_graph):

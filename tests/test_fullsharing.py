@@ -11,7 +11,13 @@ from repro.graph.iterate import materialize
 from repro.graph.model import LabeledGraph
 from repro.pyref import eval_rpq_python, transitive_closure_python
 from repro.rpq.parser import parse
-from tests.helpers import PAPER_EDGES, R_G_GRAPHS, r_g_frame, spark_jobs
+from tests.helpers import (
+    PAPER_EDGES,
+    R_G_GRAPHS,
+    final_exchanges,
+    r_g_frame,
+    spark_jobs,
+)
 
 
 @pytest.fixture
@@ -83,34 +89,54 @@ def test_example5_full_build_runs_one_job(spark, paper_graph):
     assert spark_jobs(spark, lambda: ev._build_shared(r_g)) == 1
 
 
-def _reuse_plan(paper_graph):
-    """Answer and final executed plan of the reuse RPQ d.(b.c)+.e once
-    Full's R+_G of b.c is cached, on the checkpointed paper graph (8
-    shuffle partitions)."""
+def _reuse_plan(spark, paper_graph):
+    """Final executed plan, its shuffle exchanges and the Spark jobs of
+    the reuse RPQ d.(b.c)+.e once Full's R+_G of b.c is cached, on the
+    checkpointed paper graph."""
     graph = LabeledGraph(materialize(paper_graph.edges))
     ev = FullSharingEvaluator(graph)
     ev.evaluate("d.(b.c)+.c")
     plan = ev._plan(parse("d.(b.c)+.e"), PhaseTimings())
-    answer = {(r.start_v, r.end_v) for r in plan.collect()}
+    answer = set()
+    jobs = spark_jobs(
+        spark, lambda: answer.update(tuple(r) for r in plan.collect())
+    )
     assert answer == eval_rpq_python(PAPER_EDGES, parse("d.(b.c)+.e"))
     # Adaptive execution prints the final plan before the initial one.
     executed = plan._jdf.queryExecution().executedPlan().toString()
-    return executed.split("== Initial Plan ==")[0]
+    return executed.split("== Initial Plan ==")[0], final_exchanges(plan), jobs
 
 
-def test_reuse_plan_on_driver_path(paper_graph, fallback_calls):
+def test_reuse_plan_on_driver_path(spark, paper_graph, fallback_calls):
     """The driver-built R+_G is broadcast into Pre_G ⋈ R+_G, so the join
-    needs no runtime bloom filter and no exchange of R+_G."""
-    final = _reuse_plan(paper_graph)
+    needs no runtime bloom filter and no exchange of R+_G. At 8 shuffle
+    partitions the plan shuffles Pre_G by start_v, both sides of the
+    Post join, and its output once, after a partial aggregate."""
+    final, exchanges, _ = _reuse_plan(spark, paper_graph)
     assert fallback_calls == []
     assert "BroadcastHashJoin" in final
     assert "might_contain" not in final and "BloomFilter" not in final
-    assert final.count("Exchange hashpartitioning") == 4
+    assert len(exchanges) == 4
 
 
-def test_reuse_plan_on_fallback_path(paper_graph, monkeypatch, fallback_calls):
+def test_reuse_plan_at_one_partition(
+    spark, paper_graph, one_shuffle_partition, fallback_calls
+):
+    """At 1 shuffle partition, the benchmark's setting, Pre_G's
+    repartition plans as a single partition, which both the Post join
+    and its distinct accept: the plan shuffles only Pre_G and the Post
+    label's side of the join, in 4 Spark jobs."""
+    _, exchanges, jobs = _reuse_plan(spark, paper_graph)
+    assert fallback_calls == []
+    assert len(exchanges) == 2
+    assert jobs == 4
+
+
+def test_reuse_plan_on_fallback_path(
+    spark, paper_graph, monkeypatch, fallback_calls
+):
     """The fallback's checkpointed R+_G carries no broadcast hint."""
     monkeypatch.setattr(closure_module, "driver_row_bound", lambda sc: -1)
-    final = _reuse_plan(paper_graph)
+    final, _, _ = _reuse_plan(spark, paper_graph)
     assert fallback_calls == [1]
     assert "BroadcastHashJoin" not in final

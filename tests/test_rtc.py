@@ -6,7 +6,7 @@ import repro.core.rtc as rtc_module
 import repro.graph.closure as closure_module
 from repro.core.batch_unit import eval_batch_unit_rtc
 from repro.core.edge_reduction import eval_kleene_free
-from repro.core.rtc import compute_rtc
+from repro.core.rtc import RTC, RPlus, compute_rtc
 from repro.graph.iterate import materialize
 from repro.pyref import eval_rpq_python, transitive_closure_python
 from repro.rpq.ast import EPSILON
@@ -63,21 +63,10 @@ def test_theorem1_random_graphs(spark, make_graph, seed):
     )
     g = make_graph(edges)
     r_g = eval_kleene_free(g, parse("a.b"))
-    rtc = compute_rtc(r_g)
-    scc = {r.v: r.s for r in rtc.scc.collect()}
-    rtc_pairs = {(r.start_s, r.end_s) for r in rtc.rtc.collect()}
-    got = {
-        (vi, vj)
-        for (sk, sl) in rtc_pairs
-        for vi, si in scc.items()
-        if si == sk
-        for vj, sj in scc.items()
-        if sj == sl
-    }
     want = transitive_closure_python(
         sorted({(r.start_v, r.end_v) for r in r_g.collect()})
     )
-    assert got == want
+    assert reconstruct(compute_rtc(r_g)) == want
 
 
 def test_lemma1_r_plus_equals_tc_of_gr(spark, paper_graph):
@@ -93,7 +82,10 @@ def test_lemma1_r_plus_equals_tc_of_gr(spark, paper_graph):
 
 
 def reconstruct(rtc):
-    """SCC ⋈ RTC ⋈ SCC as a vertex pair set (Theorem 1)."""
+    """SCC ⋈ RTC ⋈ SCC as a vertex pair set (Theorem 1); an ``RPlus``
+    entry, built where every SCC is a singleton, holds that set."""
+    if isinstance(rtc, RPlus):
+        return {tuple(r) for r in rtc.pairs.collect()}
     members: dict[int, list[int]] = {}
     for r in rtc.scc.collect():
         members.setdefault(r.s, []).append(r.v)
@@ -122,8 +114,9 @@ def fallback_calls(monkeypatch):
 def test_driver_path_matches_distributed_fallback(
     spark, monkeypatch, fallback_calls, name
 ):
-    """Both branches of compute_rtc give the same SCC and RTC pair sets,
-    and both reconstruct TC(G_R) (Theorem 1)."""
+    """Both branches of compute_rtc reconstruct TC(G_R) (Theorem 1),
+    and give the same SCC and RTC pair sets; where the driver returns
+    R+_G (singleton SCCs), the fallback's RTC is that set."""
     edges = sorted(set(R_G_GRAPHS[name]))
     r_g = r_g_frame(spark, edges)
     driver = compute_rtc(r_g)
@@ -134,19 +127,22 @@ def test_driver_path_matches_distributed_fallback(
     assert fallback_calls == [1]
 
     want = transitive_closure_python(edges)
-    for rtc in (driver, fallback):
-        assert rtc.scc.schema.simpleString() == "struct<v:bigint,s:bigint>"
-        assert (
-            rtc.rtc.schema.simpleString()
-            == "struct<start_s:bigint,end_s:bigint>"
-        )
-        assert reconstruct(rtc) == want
+    assert fallback.scc.schema.simpleString() == "struct<v:bigint,s:bigint>"
+    assert (
+        fallback.rtc.schema.simpleString()
+        == "struct<start_s:bigint,end_s:bigint>"
+    )
+    assert reconstruct(driver) == reconstruct(fallback) == want
+    fallback_rtc = {tuple(r) for r in fallback.rtc.collect()}
+    if isinstance(driver, RPlus):
+        assert fallback_rtc == want
+        return
+    assert driver.scc.schema == fallback.scc.schema
+    assert driver.rtc.schema == fallback.rtc.schema
     assert {tuple(r) for r in driver.scc.collect()} == {
         tuple(r) for r in fallback.scc.collect()
     }
-    assert {tuple(r) for r in driver.rtc.collect()} == {
-        tuple(r) for r in fallback.rtc.collect()
-    }
+    assert {tuple(r) for r in driver.rtc.collect()} == fallback_rtc
 
 
 # The graphs of R_G_GRAPHS whose SCCs are all singletons.
@@ -155,20 +151,22 @@ SINGLETON_SCCS = {"dag_chain", "self_loops_only", "empty"}
 
 @pytest.mark.parametrize("name", list(R_G_GRAPHS))
 def test_singleton_sccs_make_the_rtc_r_plus(spark, name):
-    """On the driver path, an entry whose SCCs are all singletons holds
-    its RTC as R+_G, which it then equals pair for pair — a self-loop
-    included — and prepares no SCC-keyed relation; any other entry
-    holds none."""
+    """On the driver path, where every SCC is a singleton, compute_rtc
+    returns its RTC as R+_G, which it then equals pair for pair — a
+    self-loop included — with no SCC relation; anywhere else it returns
+    the SCC pipeline's entry."""
     edges = sorted(set(R_G_GRAPHS[name]))
     rtc = compute_rtc(r_g_frame(spark, edges))
     if name not in SINGLETON_SCCS:
-        assert rtc.plus is None
+        assert isinstance(rtc, RTC)
         return
-    want = transitive_closure_python(edges)
-    assert {tuple(r) for r in rtc.plus.pairs.collect()} == want
-    assert {tuple(r) for r in rtc.rtc.collect()} == want
-    assert rtc.plus.pairs.columns == ["start_v", "end_v"]
-    assert not hasattr(rtc, "scc_by_v") and not hasattr(rtc, "rtc_by_s")
+    assert isinstance(rtc, RPlus)
+    assert {tuple(r) for r in rtc.pairs.collect()} == (
+        transitive_closure_python(edges)
+    )
+    assert rtc.pairs.schema.simpleString() == (
+        "struct<start_v:bigint,end_v:bigint>"
+    )
 
 
 def test_driver_path_stops_when_rtc_passes_bound(
